@@ -1,27 +1,28 @@
 """Elementary circuit enumeration with a circuit-length cap.
 
-Johnson-style search: one pass per start vertex over the subgraph induced
-by vertices >= start, so every circuit is found exactly once, in canonical
-rotation, from its smallest vertex. Blocked flags plus per-vertex unblock
-lists prune dead subtrees; a depth cap bounds circuit length.
+Both engines search once per start vertex s, in ascending order, over the
+subgraph induced by vertices >= s, visiting successors in ascending order.
+So every circuit is found exactly once, in canonical rotation, from its
+smallest vertex, and circuits are emitted in lexicographic order.
 
-When the cap forecloses deeper exploration, the truncation is propagated
-like a found circuit so the whole chain unblocks. A vertex therefore gets
-blocked only on depth-independent evidence, which is what keeps the capped
-search complete for circuits within the cap.
+The pure-Python engine in this module runs a length-aware search (after
+Gupta & Suzumura, "Finding All Bounded-Length Simple Cycles in a Directed
+Graph", 2021): a reverse BFS from s gives each vertex's hop distance back
+to s, and the path extends to w only if a circuit through w still fits the
+cap. The compiled kernel (_fastcircuits) runs Johnson's blocked search,
+with a cap that propagates like a found circuit so the whole chain
+unblocks. Both emit the same circuits in the same order.
 
-Two engines implement the same search: a compiled kernel (_fastcircuits)
-and the pure-Python one in this module. The kernel is picked at import
-when present; NETCYCLE_ENGINE=python forces the fallback.
+The kernel is picked at import when present; NETCYCLE_ENGINE=python forces
+the pure-Python engine.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .ledger import Circuit, CompanyId, DebtGraph
 from .scc import SccPartition, nontrivial_components
@@ -102,134 +103,118 @@ class _Stop(Exception):
     pass
 
 
-@dataclass
-class EnumeratorState:
-    """Search state for one start vertex.
+@dataclass(frozen=True)
+class ComponentIndex:
+    """One component over local vertex indices. verts is in ascending id
+    order, so index order is id order; succ[i] lists i's successors
+    ascending and pred[i] its predecessors. Built once per component and
+    shared by both engines."""
 
-    Vertices on the stack are blocked; blocked_list[v] holds the vertices
-    to notify (unblock) once v becomes available again.
+    verts: list[CompanyId]
+    succ: list[list[int]]
+    pred: list[list[int]]
+
+
+def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> ComponentIndex:
+    """The component's induced subgraph as a ComponentIndex."""
+    verts = sorted(set(component))
+    pos = {v: i for i, v in enumerate(verts)}
+    succ = [sorted(pos[w] for w in g.successors(v) if w in pos) for v in verts]
+    pred: list[list[int]] = [[] for _ in verts]
+    for v, row in enumerate(succ):
+        for w in row:
+            pred[w].append(v)
+    return ComponentIndex(verts, succ, pred)
+
+
+def distances_to(s: int, pred: list[list[int]], depth: int) -> dict[int, int]:
+    """Fewest hops from each vertex back to s through vertices > s, for
+    the vertices within `depth` hops; s itself is at 0."""
+    dist = {s: 0}
+    frontier = [s]
+    for d in range(1, depth + 1):
+        nxt = []
+        for w in frontier:
+            for u in pred[w]:
+                if u > s and u not in dist:
+                    dist[u] = d
+                    nxt.append(u)
+        if not nxt:
+            break
+        frontier = nxt
+    return dist
+
+
+def search_from(
+    s: int, index: ComponentIndex, max_len: int, budget: _Budget, out: list[tuple[int, ...]]
+) -> None:
+    """Append to out every circuit of length <= max_len whose smallest
+    vertex is s, in lexicographic order.
+
+    The path extends to a successor w only if w > s, w is off the path and
+    len(path) + dist[w] <= max_len, i.e. a circuit through w can still fit
+    the cap. Only distances to s prune, so nothing within the cap is lost.
     """
+    succ = index.succ
+    dist = distances_to(s, index.pred, max_len - 1)
+    path = [s]
+    on_path = {s}
 
-    start_vertex: CompanyId
-    stack: list[CompanyId] = field(default_factory=list)
-    blocked: set[CompanyId] = field(default_factory=set)
-    blocked_list: dict[CompanyId, deque[CompanyId]] = field(default_factory=lambda: defaultdict(deque))
-    found: list[Circuit] = field(default_factory=list)
-
-
-def unblock(v: CompanyId, state: EnumeratorState) -> None:
-    """Unblock v and, transitively, everything queued on its blocked list.
-
-    Iterative so long cascade chains cannot overflow the interpreter stack.
-    Entries that are already unblocked are skipped; lists drain as they are
-    processed, so re-entry terminates.
-    """
-    work = [v]
-    while work:
-        u = work.pop()
-        state.blocked.discard(u)
-        queue = state.blocked_list.get(u)
-        while queue:
-            w = queue.popleft()
-            if w in state.blocked:
-                work.append(w)
-
-
-def circuit_search(
-    v: CompanyId,
-    state: EnumeratorState,
-    adj: Mapping[CompanyId, Sequence[CompanyId]],
-    cfg: EnumerationConfig,
-    budget: _Budget | None = None,
-) -> bool:
-    """Explore from v; record a circuit whenever a successor closes back to
-    the start vertex. Returns True if a circuit was recorded below v or the
-    depth cap foreclosed exploration there (both force unblocking); only a
-    fully explored, circuit-free subtree blocks v and enrolls it on its
-    successors' blocked lists.
-    """
-    if budget is not None:
+    def extend(v: int) -> None:
         budget.ticks += 1
         if budget.deadline is not None and (budget.ticks & 1023) == 0 and time.monotonic() >= budget.deadline:
             budget.reason = "time_budget"
             raise _Stop
-    start = state.start_vertex
-    state.stack.append(v)
-    state.blocked.add(v)
-    found = False
-    for w in adj.get(v, ()):
-        if w < start:
-            continue
-        if w == start:
-            state.found.append(tuple(state.stack))
-            found = True
-            if budget is not None and budget.remaining > 0:
-                budget.remaining -= 1
-                if budget.remaining == 0:
-                    budget.reason = "max_circuits"
-                    raise _Stop
-        elif w not in state.blocked:
-            if len(state.stack) >= cfg.max_len:
-                # Deepening would exceed the cap: unreliable to conclude
-                # "no circuit", so force the unblock path.
-                found = True
-            elif circuit_search(w, state, adj, cfg, budget):
-                found = True
-    if found:
-        unblock(v, state)
-    else:
-        for w in adj.get(v, ()):
-            if w >= start and v not in state.blocked_list[w]:
-                state.blocked_list[w].append(v)
-    state.stack.pop()
-    return found
+        for w in succ[v]:
+            if w == s:
+                out.append(tuple(path))
+                if budget.remaining > 0:
+                    budget.remaining -= 1
+                    if budget.remaining == 0:
+                        budget.reason = "max_circuits"
+                        raise _Stop
+                continue
+            d = dist.get(w)  # None for w < s and for w too far from s
+            if d is not None and len(path) + d <= max_len and w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                extend(w)
+                path.pop()
+                on_path.discard(w)
 
-
-def component_adjacency(
-    g: DebtGraph, component: Iterable[CompanyId]
-) -> dict[CompanyId, list[CompanyId]]:
-    """Successor lists restricted to the component, sorted ascending."""
-    members = set(component)
-    return {
-        v: sorted(w for w in g.successors(v) if w in members)
-        for v in sorted(members)
-    }
+    extend(s)
 
 
 def _enumerate_python(
-    adj: dict[CompanyId, list[CompanyId]], cfg: EnumerationConfig
-) -> tuple[list[Circuit], str | None]:
+    index: ComponentIndex, cfg: EnumerationConfig
+) -> tuple[list[tuple[int, ...]], str | None]:
     budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
-    out: list[Circuit] = []
+    out: list[tuple[int, ...]] = []
     try:
-        for start in adj:
-            state = EnumeratorState(start_vertex=start)
-            state.found = out
-            circuit_search(start, state, adj, cfg, budget)
+        for s in range(len(index.verts)):
+            search_from(s, index, cfg.max_len, budget, out)
     except _Stop:
         return out, budget.reason
     return out, None
 
 
 def _enumerate_fast(
-    adj: dict[CompanyId, list[CompanyId]], cfg: EnumerationConfig
-) -> tuple[list[Circuit], str | None]:
-    verts = list(adj)
-    pos = {v: i for i, v in enumerate(verts)}
+    index: ComponentIndex, cfg: EnumerationConfig
+) -> tuple[list[tuple[int, ...]], str | None]:
     indptr = [0]
     indices: list[int] = []
-    for v in verts:
-        indices.extend(pos[w] for w in adj[v])
+    for row in index.succ:
+        indices.extend(row)
         indptr.append(len(indices))
     deadline = 0.0
     if cfg.per_scc_time_budget is not None:
         deadline = time.monotonic() + cfg.per_scc_time_budget
     raw, reason_code = _fast.enumerate_component(
-        indptr, indices, len(verts), cfg.max_len,
+        indptr, indices, len(index.verts), cfg.max_len,
         -1 if cfg.max_circuits is None else cfg.max_circuits, deadline,
     )
     reasons = {0: None, 1: "max_circuits", 2: "time_budget"}
-    return [tuple(verts[i] for i in c) for c in raw], reasons[reason_code]
+    return raw, reasons[reason_code]
 
 
 def enumerate_circuits(
@@ -243,11 +228,11 @@ def enumerate_circuits(
     lexicographic order. A hit budget yields a truncated partial result."""
     cfg = cfg or EnumerationConfig()
     engine = resolve_engine(engine)
-    adj = component_adjacency(g, component)
-    if engine == "fast":
-        circuits, reason = _enumerate_fast(adj, cfg)
-    else:
-        circuits, reason = _enumerate_python(adj, cfg)
+    index = component_adjacency(g, component)
+    search = _enumerate_fast if engine == "fast" else _enumerate_python
+    raw, reason = search(index, cfg)
+    verts = index.verts
+    circuits = [tuple([verts[i] for i in c]) for c in raw]
     return EnumerationResult(circuits, reason is not None, reason, engine)
 
 

@@ -226,6 +226,10 @@ def _check_invoice(inv: Invoice, seen_ids: set[str], locator: str) -> None:
         raise InvoiceError(locator, f"duplicate invoice_id {inv.invoice_id!r}")
     if not inv.debtor or not inv.creditor:
         raise InvoiceError(locator, "missing debtor or creditor")
+    for company in (inv.debtor, inv.creditor):
+        # circuits.txt writes one circuit per line, ids joined by commas
+        if "," in company or "\r" in company or "\n" in company:
+            raise InvoiceError(locator, f"company id {company!r} contains a comma or line break")
     if inv.debtor == inv.creditor:
         raise InvoiceError(locator, "debtor equals creditor")
     if not isinstance(inv.amount, int) or inv.amount <= 0:
@@ -262,10 +266,11 @@ def _parse_row(row: dict[str, str], locator: str) -> Invoice:
     missing = [k for k in CSV_HEADER if row.get(k) in (None, "")]
     if missing:
         raise InvoiceError(locator, f"missing field(s): {', '.join(missing)}")
-    try:
-        amount = int(row["amount_minor"])
-    except ValueError:
-        raise InvoiceError(locator, f"amount_minor is not an integer: {row['amount_minor']!r}")
+    raw_amount = row["amount_minor"]
+    # int() would also take "1_000", " 7" and non-ASCII digits
+    if not (raw_amount.isascii() and raw_amount.isdigit()):
+        raise InvoiceError(locator, f"amount_minor is not ASCII digits: {raw_amount!r}")
+    amount = int(raw_amount)
     try:
         issued = date.fromisoformat(row["issue_date"])
     except ValueError:
@@ -278,20 +283,24 @@ def read_invoices(stream: IO[str], *, strict: bool = True) -> Iterator[Invoice |
     RejectedRecords for rows that do not parse.
 
     Expected header: invoice_id,debtor,creditor,amount_minor,issue_date
+    Text the csv module cannot parse fails the whole read, in either mode.
     """
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        return
-    if list(reader.fieldnames) != CSV_HEADER:
-        raise InvoiceError("line 1", f"bad header {reader.fieldnames!r}, expected {CSV_HEADER!r}")
-    for row in reader:
-        locator = f"line {reader.line_num}"
-        try:
-            yield _parse_row(row, locator)
-        except InvoiceError as err:
-            if strict:
-                raise
-            yield RejectedRecord(err.locator, err.reason)
+    try:
+        if reader.fieldnames is None:
+            return
+        if list(reader.fieldnames) != CSV_HEADER:
+            raise InvoiceError("line 1", f"bad header {reader.fieldnames!r}, expected {CSV_HEADER!r}")
+        for row in reader:
+            locator = f"line {reader.line_num}"
+            try:
+                yield _parse_row(row, locator)
+            except InvoiceError as err:
+                if strict:
+                    raise
+                yield RejectedRecord(err.locator, err.reason)
+    except csv.Error as err:
+        raise InvoiceError(f"line {reader.line_num}", f"malformed CSV: {err}") from None
 
 
 def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:

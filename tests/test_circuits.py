@@ -15,7 +15,7 @@ from netcycle import (
     merge_circuits,
     tarjan,
 )
-from netcycle.circuits import EnumeratorState, circuit_search, unblock
+from netcycle.circuits import _Budget, component_adjacency, distances_to, search_from
 from netcycle.ledger import circuit_edges
 from netcycle.oracle import circuits_by_dfs
 
@@ -148,6 +148,17 @@ class TestTruncation:
         assert res.truncated
         assert res.truncation_reason == "time_budget"
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 40))
+    def test_max_circuits_gives_prefix(self, engine, seed, k):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(3, 9), 0.4)
+        component = sorted(g.vertices)
+        full = enumerate_circuits(g, component, EnumerationConfig(max_len=6), engine).circuits
+        res = enumerate_circuits(g, component, EnumerationConfig(max_len=6, max_circuits=k), engine)
+        assert res.circuits == full[:k]
+        assert res.truncated == (k <= len(full))
+
     def test_untruncated_result_is_flag_free(self, intro_graph, engine):
         res = enumerate_circuits(intro_graph, ["A", "B", "C"],
                                  EnumerationConfig(max_circuits=100, per_scc_time_budget=60), engine)
@@ -177,64 +188,46 @@ def test_config_validation():
         EnumerationConfig(per_scc_time_budget=0)
 
 
-class TestSearchState:
-    """Single-start search and unblock, driven directly on small adjacency."""
+class TestStartSearch:
+    """One start vertex's search and its distance bound, on small indexes."""
 
-    def adj(self, edges):
-        out: dict[str, list[str]] = {}
-        for u, v in edges:
-            out.setdefault(u, []).append(v)
-        for u in out:
-            out[u].sort()
-        return out
+    def index(self, edges):
+        g = graph_of([(u, v, 1) for u, v in edges])
+        return component_adjacency(g, g.vertices)
 
-    def test_records_cycle_and_returns_true(self):
-        state = EnumeratorState(start_vertex="A")
-        found = circuit_search("A", state, self.adj([("A", "B"), ("B", "C"), ("C", "A")]),
-                               EnumerationConfig())
-        assert found
-        assert state.found == [("A", "B", "C")]
-        assert state.stack == []
+    def search(self, index, start, max_len=8):
+        budget = _Budget(None, None)
+        out = []
+        search_from(index.verts.index(start), index, max_len, budget, out)
+        return [tuple(index.verts[i] for i in c) for c in out], budget
 
-    def test_dead_path_blocks_and_enrolls(self):
-        state = EnumeratorState(start_vertex="A")
-        found = circuit_search("A", state, self.adj([("A", "B"), ("B", "C")]),
-                               EnumerationConfig())
-        assert not found
-        assert state.found == []
-        # every searched vertex failed and sits on its successors' lists
-        assert "B" in state.blocked_list["C"]
-        assert "A" in state.blocked_list["B"]
-        assert {"A", "B", "C"} <= state.blocked
+    def test_records_three_cycle(self):
+        index = self.index([("A", "B"), ("B", "C"), ("C", "A")])
+        assert self.search(index, "A")[0] == [("A", "B", "C")]
+        # found once, from its smallest vertex only
+        assert self.search(index, "B")[0] == []
 
-    def test_cap_forces_unblock_for_other_starts(self):
+    def test_dead_path_records_nothing(self):
+        found, budget = self.search(self.index([("A", "B"), ("B", "C")]), "A")
+        assert found == []
+        # B cannot reach A, so the distance bound prunes it unexpanded
+        assert budget.ticks == 1
+
+    def test_ring_beyond_cap_yields_nothing_and_leaves_no_state(self):
         edges = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")]
-        state = EnumeratorState(start_vertex="A")
-        found = circuit_search("A", state, self.adj(edges), EnumerationConfig(max_len=4))
-        assert found  # the cap was hit, which propagates like a find
-        assert state.found == []  # but nothing of length <= 4 exists
-        assert state.blocked == set()
+        index = self.index(edges)
+        found, budget = self.search(index, "A", max_len=4)
+        assert found == []
+        assert budget.ticks == 1  # B is 4 hops from A: too far for the cap
+        assert budget.reason is None and budget.remaining == -1
+        assert index == self.index(edges)  # the shared index is untouched
+        assert self.search(index, "A", max_len=5)[0] == [("A", "B", "C", "D", "E")]
 
-    def test_unblock_without_cascade(self):
-        state = EnumeratorState(start_vertex="A")
-        state.blocked.add("v")
-        unblock("v", state)
-        assert "v" not in state.blocked
-
-    def test_unblock_cascades_through_chain(self):
-        state = EnumeratorState(start_vertex="A")
-        state.blocked.update({"v", "w", "x"})
-        state.blocked_list["v"].append("w")
-        state.blocked_list["w"].append("x")
-        unblock("v", state)
-        assert state.blocked == set()
-        assert not state.blocked_list["v"]
-        assert not state.blocked_list["w"]
-
-    def test_unblock_skips_already_unblocked(self):
-        state = EnumeratorState(start_vertex="A")
-        state.blocked.update({"v", "w"})
-        state.blocked_list["v"].extend(["u", "w"])  # u is not blocked
-        unblock("v", state)
-        assert state.blocked == set()
-        assert not state.blocked_list["v"]
+    def test_distances_to(self):
+        # E -> D -> C -> B -> A, plus the shortcut D -> A and the edge A -> E
+        index = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
+        a, b, c, d, e = range(5)
+        assert distances_to(a, index.pred, 3) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        assert distances_to(a, index.pred, 1) == {a: 0, b: 1, d: 1}
+        # only vertices above the start count: A is below B
+        assert distances_to(b, index.pred, 4) == {b: 0, c: 1, d: 2, e: 3}

@@ -93,6 +93,18 @@ def test_bad_record_strict_vs_lenient(tmp_path, capsys):
     assert report["grand_total"] == 3 * 2_300_000
 
 
+def test_company_id_with_comma_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "comma.csv"
+    bad.write_text(INTRO_CSV + 'I9,"Acme, Inc",A,5,2019-01-01\nI10,B,"Acme, Inc",5,2019-01-01\n',
+                   encoding="utf-8")
+    assert main(["run", "--input", str(bad), "--out-dir", str(tmp_path / "s")]) == 2
+    assert "company id" in capsys.readouterr().err
+    assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "g.json")]) == 2
+    assert main(["run", "--input", str(bad), "--out-dir", str(tmp_path / "l"), "--lenient"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rejected_records"] == 2
+
+
 def test_truncation_exit_code_and_no_partial_plans(tmp_path, overlap_csv):
     out = tmp_path / "out"
     code = main(["run", "--input", str(overlap_csv), "--out-dir", str(out),

@@ -144,6 +144,35 @@ class TestCsv:
         assert result.accepted == 1
         assert [r.locator for r in result.rejects] == ["line 2", "line 3"]
 
+    def test_amount_accepts_ascii_digits_only(self):
+        header = "invoice_id,debtor,creditor,amount_minor,issue_date\n"
+        bad = ["1_000", " 7", "7 ", "\u0663", "+5", "-5", "0x10", "1e3"]
+        for amount in bad + ["0"]:
+            with pytest.raises(InvoiceError, match="amount"):
+                ingest_csv(io.StringIO(header + f"I1,A,B,{amount},2019-01-01\n"))
+        rows = [f"I{i},A,B,{amount},2019-01-01\n" for i, amount in enumerate(bad + ["0", "15"])]
+        result = ingest_csv(io.StringIO(header + "".join(rows)), strict=False)
+        assert result.accepted == 1
+        assert len(result.rejects) == len(bad) + 1
+        assert result.graph.weight("A", "B") == 15
+
+    @pytest.mark.parametrize("company", ["X,Y", "X\nY", "X\rY"])
+    def test_company_id_with_delimiter_is_rejected(self, company):
+        with pytest.raises(InvoiceError, match="company id"):
+            ingest([Invoice("I1", company, "B", 5, date(2020, 1, 1))])
+        with pytest.raises(InvoiceError, match="company id"):
+            ingest([Invoice("I1", "B", company, 5, date(2020, 1, 1))])
+        text = f'invoice_id,debtor,creditor,amount_minor,issue_date\nI1,"{company}",B,5,2020-01-01\nI2,B,C,5,2020-01-01\n'
+        result = ingest_csv(io.StringIO(text), strict=False)
+        assert result.accepted == 1
+        assert [r.locator for r in result.rejects] == ["invoice 'I1'"]
+
+    def test_unparseable_csv_is_invoice_error(self):
+        text = "invoice_id,debtor,creditor,amount_minor,issue_date\nI1,X\rY,B,5,2020-01-01\n"
+        for strict in (True, False):
+            with pytest.raises(InvoiceError, match="malformed CSV"):
+                ingest_csv(io.StringIO(text), strict=strict)
+
     def test_header_only(self):
         result = ingest_csv(io.StringIO("invoice_id,debtor,creditor,amount_minor,issue_date\n"))
         assert result.accepted == 0
