@@ -91,7 +91,22 @@ def _add_plan_flags(p: argparse.ArgumentParser, cmd: str) -> None:
 
 
 def _load_graph(path: str) -> DebtGraph:
-    return DebtGraph.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise InvoiceError(path, f"not UTF-8 text: {err}") from None
+    return DebtGraph.from_json(text)
+
+
+def _check_circuit(circuit: tuple, partition: SccPartition, locator: str) -> None:
+    """A circuit read from a file must be elementary and name only companies
+    of the graph: a repeated company would settle one edge twice."""
+    if (len(circuit) < 2 or not all(isinstance(v, str) for v in circuit)
+            or len(set(circuit)) != len(circuit)):
+        raise InvoiceError(locator, f"not an elementary circuit: {list(circuit)!r}")
+    for company in circuit:
+        if company not in partition.component_of:
+            raise InvoiceError(locator, f"company {company!r} is not in the graph")
 
 
 def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> list[ComponentCircuits]:
@@ -99,23 +114,30 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
     lines, grouped per component."""
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".json"):
-        payload = json.loads(text)
-        return [
-            ComponentCircuits(
-                entry["scc_index"],
-                EnumerationResult(
-                    [tuple(c) for c in entry["circuits"]],
-                    entry.get("truncated", False),
-                    entry.get("truncation_reason"),
-                ),
-            )
-            for entry in payload["components"]
-        ]
+        try:
+            components = [
+                ComponentCircuits(
+                    entry["scc_index"],
+                    EnumerationResult(
+                        [tuple(c) for c in entry["circuits"]],
+                        entry.get("truncated", False),
+                        entry.get("truncation_reason"),
+                    ),
+                )
+                for entry in json.loads(text)["components"]
+            ]
+        except (json.JSONDecodeError, KeyError, TypeError) as err:
+            raise InvoiceError(path, f"not a circuits artifact: {err!r}") from None
+        for item in components:
+            for circuit in item.result.circuits:
+                _check_circuit(circuit, partition, f"{path} component {item.scc_index}")
+        return components
     groups: dict[int, list[tuple[str, ...]]] = {}
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         circuit = tuple(line.strip().split(","))
+        _check_circuit(circuit, partition, f"{path} line {n}")
         groups.setdefault(partition.component_of[circuit[0]], []).append(circuit)
     return [
         ComponentCircuits(idx, EnumerationResult(sorted(cs)))

@@ -159,12 +159,38 @@ class DebtGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DebtGraph":
-        payload = json.loads(text)
+        """Read a snapshot written by to_json. Anything that to_json could
+        not have written raises InvoiceError: text that is not JSON, missing
+        keys, an id that is empty or holds a delimiter, a self-loop, an
+        amount that is not a positive int, an edge to an unlisted vertex."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise InvoiceError("graph", f"not valid JSON: {err}") from None
+        try:
+            vertices, edges = payload["vertices"], payload["edges"]
+        except (KeyError, TypeError):
+            raise InvoiceError("graph", "expected an object with 'vertices' and 'edges'") from None
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise InvoiceError("graph", "'vertices' and 'edges' must be lists")
         g = cls()
-        for v in payload["vertices"]:
-            g.add_vertex(v)
-        for e in payload["edges"]:
-            g.add_obligation(e["debtor"], e["creditor"], e["amount_minor"])
+        for i, v in enumerate(vertices):
+            _check_company_id(v, f"vertices[{i}]")
+            g.vertices.add(v)
+        for i, e in enumerate(edges):
+            locator = f"edges[{i}]"
+            try:
+                u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
+            except (KeyError, TypeError):
+                raise InvoiceError(locator, "expected 'debtor', 'creditor' and 'amount_minor'") from None
+            for company in (u, v):
+                _check_company_id(company, locator)
+                if company not in g.vertices:
+                    raise InvoiceError(locator, f"company id {company!r} is not in 'vertices'")
+            if u == v:
+                raise InvoiceError(locator, "debtor equals creditor")
+            _check_amount(amount, locator)
+            g.add_obligation(u, v, amount)
         return g
 
 
@@ -219,6 +245,20 @@ def density(g: DebtGraph) -> Fraction:
 # -- ingestion ----------------------------------------------------------
 
 
+def _check_company_id(company: object, locator: str) -> None:
+    if not isinstance(company, str) or not company:
+        raise InvoiceError(locator, f"company id must be a non-empty string, got {company!r}")
+    # circuits.txt writes one circuit per line, ids joined by commas
+    if "," in company or "\r" in company or "\n" in company:
+        raise InvoiceError(locator, f"company id {company!r} contains a comma or line break")
+
+
+def _check_amount(amount: object, locator: str) -> None:
+    # bool is an int subclass; True must not pass as an amount of 1
+    if type(amount) is not int or amount <= 0:
+        raise InvoiceError(locator, f"amount must be a positive integer, got {amount!r}")
+
+
 def _check_invoice(inv: Invoice, seen_ids: set[str], locator: str) -> None:
     if not inv.invoice_id:
         raise InvoiceError(locator, "missing invoice_id")
@@ -226,14 +266,11 @@ def _check_invoice(inv: Invoice, seen_ids: set[str], locator: str) -> None:
         raise InvoiceError(locator, f"duplicate invoice_id {inv.invoice_id!r}")
     if not inv.debtor or not inv.creditor:
         raise InvoiceError(locator, "missing debtor or creditor")
-    for company in (inv.debtor, inv.creditor):
-        # circuits.txt writes one circuit per line, ids joined by commas
-        if "," in company or "\r" in company or "\n" in company:
-            raise InvoiceError(locator, f"company id {company!r} contains a comma or line break")
+    _check_company_id(inv.debtor, locator)
+    _check_company_id(inv.creditor, locator)
     if inv.debtor == inv.creditor:
         raise InvoiceError(locator, "debtor equals creditor")
-    if not isinstance(inv.amount, int) or inv.amount <= 0:
-        raise InvoiceError(locator, f"amount must be a positive integer, got {inv.amount!r}")
+    _check_amount(inv.amount, locator)
 
 
 def ingest(records: Iterable[Invoice], *, strict: bool = True) -> IngestResult:

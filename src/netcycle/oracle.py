@@ -92,10 +92,22 @@ def circuits_by_dfs(
 
 
 def best_order_by_permutation(
-    g: DebtGraph, circuits: list[Circuit], budget: OracleBudget | None = None
+    g: DebtGraph,
+    circuits: list[Circuit],
+    budget: OracleBudget | None = None,
+    tie_break: str | None = None,
 ) -> SettlementPlan:
     """Maximum-total plan over every permutation, replaying each order on a
-    plain weight map with skip-at-zero semantics."""
+    plain weight map with skip-at-zero semantics.
+
+    Without `tie_break` the first maximum-total permutation wins. With
+    'balanced' or 'canonical', equal totals are ranked by the key that
+    OptimizerConfig documents: 'balanced' takes the highest sorted step
+    amounts, then the smallest circuit sequence; 'canonical' the smallest
+    circuit sequence.
+    """
+    if tie_break not in (None, "balanced", "canonical"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
     budget = budget or OracleBudget()
     if len(circuits) > budget.max_circuits_for_permutation:
         raise BudgetExceeded(f"{len(circuits)} circuits exceeds the permutation budget")
@@ -115,8 +127,20 @@ def best_order_by_permutation(
                 weights[e] -= x
             steps.append(PlanStep(c, x, x * len(c)))
             total += x * len(c)
-        if best is None or total > best[0]:
+        if best is None or total > best[0] or (
+            total == best[0] and tie_break is not None and _wins_tie(steps, best[1], tie_break)
+        ):
             best = (total, steps, skipped)
     if best is None:
         return SettlementPlan(steps=[], total=0, skipped=[], mode="oracle")
     return SettlementPlan(steps=best[1], total=best[0], skipped=best[2], mode="oracle")
+
+
+def _wins_tie(steps: list[PlanStep], incumbent: list[PlanStep], tie_break: str) -> bool:
+    """Whether `steps` ranks above an equal-total `incumbent`."""
+    if tie_break == "balanced":
+        ours = sorted(s.amount for s in steps)
+        theirs = sorted(s.amount for s in incumbent)
+        if ours != theirs:
+            return ours > theirs
+    return [s.circuit for s in steps] < [s.circuit for s in incumbent]

@@ -1,10 +1,11 @@
 """Settlement ordering: pick the circuit order that nets the most.
 
 A plan settles circuits one by one against live edge weights; a circuit
-worth zero at its turn is skipped and recorded. The exact mode searches
-orders exhaustively (with optimality-preserving pruning), the greedy mode
-takes the largest immediate gain each step. Totals count the per-edge
-settled amount times the circuit length.
+worth zero at its turn is skipped and recorded. The exact mode finds the
+best order by a memoized search for the best suffix from each settlement
+state (the remaining edge weights); the greedy mode takes the largest
+immediate gain each step. Totals count the per-edge settled amount times
+the circuit length.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class OptimizerConfig:
     """mode: exact, greedy, or auto (exact up to exact_threshold circuits).
     Exact mode refuses outright above exact_hard_cap. tie_break picks among
     equal-total plans: 'balanced' prefers value spread across steps, then
-    the smallest circuit sequence; 'canonical' keeps the first one found."""
+    the smallest circuit sequence; 'canonical' takes the smallest circuit
+    sequence."""
 
     mode: str = "auto"
     exact_threshold: int = 10
@@ -133,72 +135,74 @@ def build_conflict_graph(g: DebtGraph, circuits: list[Circuit]) -> ConflictGraph
     return ConflictGraph(nodes, edges)
 
 
-def _unsettle(g: DebtGraph, circuit: Circuit, x: int) -> None:
-    for u, v in circuit_edges(circuit):
-        g.add_obligation(u, v, x)
-
-
 def _exact_order(
     g: DebtGraph, circuits: list[Circuit], cfg: OptimizerConfig
 ) -> tuple[list[PlanStep], int, list[Circuit]]:
-    """Depth-first search over settlement orders on a scratch graph.
+    """Best settlement order by a memoized search for the best suffix from
+    each settlement state.
 
-    Two optimality-preserving reductions: circuits worth zero are skipped
-    the moment they hit zero (weights only decrease, so zero is final), and
-    a branch is cut when its running total plus the sum of the remaining
-    circuits' current value*length cannot strictly beat the best total.
+    Circuits are taken in sorted order and hold indices into one flat list
+    `w` of current edge weights. Weights only decrease, so a circuit worth
+    zero stays at zero: `w` alone fixes which circuits are still live, and
+    the best way to finish from `w` does not depend on the order that
+    reached it. Orders that interleave circuits sharing no edge therefore
+    meet in one cached state instead of being searched again. Settling a
+    circuit drops every live circuit through an edge it empties.
+
+    The best suffix has the highest total; under 'balanced' ties go to the
+    highest sorted step amounts. Remaining ties go to the smallest step
+    sequence, which is the first candidate because live circuits are tried
+    in ascending order. Both keys compose with a fixed prefix, so the best
+    suffix from every state yields the best order overall.
     """
     order = sorted(circuits)
+    slot: dict[tuple[CompanyId, CompanyId], int] = {}
+    w: list[int] = []
+    users: list[int] = []  # per edge: bitmask of the circuits through it
+    edges: list[tuple[int, ...]] = []
+    for i, c in enumerate(order):
+        for e in circuit_edges(c):
+            if e not in slot:
+                slot[e] = len(w)
+                w.append(g.weight(*e))
+                users.append(0)
+            users[slot[e]] |= 1 << i
+        edges.append(tuple(slot[e] for e in circuit_edges(c)))
     k = [len(c) for c in order]
-    n = len(order)
-    best: dict = {"total": -1, "steps": [], "skipped": [], "key": None}
+    balanced = cfg.tie_break == "balanced"
+    # state -> (total, sorted amounts if balanced, ((circuit index, per_edge), ...))
+    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
 
-    def tie_key(steps: list[PlanStep]) -> tuple:
-        amounts = tuple(sorted(s.amount for s in steps))
-        seq = tuple(s.circuit for s in steps)
-        return amounts, seq
+    def best(live: list[int]) -> tuple[int, tuple[int, ...], tuple]:
+        found = (0, (), ())
+        for i in live:
+            ids = edges[i]
+            x = min([w[e] for e in ids])
+            dead = 0
+            for e in ids:
+                w[e] -= x
+                if not w[e]:
+                    dead |= users[e]
+            state = tuple(w)
+            suffix = memo.get(state)
+            if suffix is None:
+                suffix = memo[state] = best([j for j in live if not dead >> j & 1])
+            for e in ids:
+                w[e] += x
+            total, amounts, steps = suffix
+            amount = x * k[i]
+            total += amount
+            if balanced:
+                amounts = tuple(sorted((amount,) + amounts))
+            if total > found[0] or (balanced and total == found[0] and amounts > found[1]):
+                found = (total, amounts, ((i, x),) + steps)
+        return found
 
-    def better(total: int, steps: list[PlanStep]) -> bool:
-        if total != best["total"]:
-            return total > best["total"]
-        if cfg.tie_break == "canonical":
-            return False
-        amounts, seq = tie_key(steps)
-        b_amounts, b_seq = best["key"]
-        if amounts != b_amounts:
-            return amounts > b_amounts
-        return seq < b_seq
-
-    def dfs(remaining: list[int], steps: list[PlanStep], skipped: list[int], total: int) -> None:
-        live = []
-        forced = list(skipped)
-        bound = total
-        for i in remaining:
-            v = circuit_value(g, order[i])
-            if v == 0:
-                forced.append(i)
-            else:
-                live.append((i, v))
-                bound += v * k[i]
-        if not live:
-            if better(total, steps):
-                best["total"] = total
-                best["steps"] = list(steps)
-                best["skipped"] = [order[i] for i in sorted(forced)]
-                best["key"] = tie_key(steps)
-            return
-        if bound < best["total"]:
-            return
-        for i, v in live:
-            rest = [j for j, _ in live if j != i]
-            x = settle(g, order[i])
-            steps.append(PlanStep(order[i], x, x * k[i]))
-            dfs(rest, steps, forced, total + x * k[i])
-            steps.pop()
-            _unsettle(g, order[i], x)
-
-    dfs(list(range(n)), [], [], 0)
-    return best["steps"], best["total"], best["skipped"]
+    total, _, sequence = best([i for i in range(len(order)) if all([w[e] for e in edges[i]])])
+    steps = [PlanStep(order[i], x, x * k[i]) for i, x in sequence]
+    taken = {i for i, _ in sequence}
+    skipped = [c for i, c in enumerate(order) if i not in taken]
+    return steps, total, skipped
 
 
 def _greedy_order(

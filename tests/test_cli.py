@@ -105,6 +105,89 @@ def test_company_id_with_comma_is_input_error(tmp_path, capsys):
     assert report["rejected_records"] == 2
 
 
+def _graph_text(vertices, edges) -> str:
+    return json.dumps({
+        "vertices": vertices,
+        "edges": [{"debtor": u, "creditor": v, "amount_minor": w} for u, v, w in edges],
+    })
+
+
+BAD_GRAPHS = {
+    # a valid 2-cycle would come out as the corrupt circuits.txt line "A,B,C"
+    "comma_in_id": _graph_text(["A,B", "C"], [("A,B", "C", 5), ("C", "A,B", 5)]),
+    "newline_in_id": _graph_text(["A\nB", "C"], [("A\nB", "C", 5), ("C", "A\nB", 5)]),
+    "carriage_return_in_id": _graph_text(["A\rB", "C"], [("A\rB", "C", 5), ("C", "A\rB", 5)]),
+    "empty_id": _graph_text(["", "C"], [("", "C", 5), ("C", "", 5)]),
+    "non_string_id": _graph_text([1, "C"], [(1, "C", 5), ("C", 1, 5)]),
+    "self_loop": _graph_text(["A", "B"], [("A", "A", 5), ("A", "B", 5), ("B", "A", 5)]),
+    "string_amount": _graph_text(["A", "B"], [("A", "B", "5"), ("B", "A", 5)]),
+    "float_amount": _graph_text(["A", "B"], [("A", "B", 5.0), ("B", "A", 5)]),
+    "bool_amount": _graph_text(["A", "B"], [("A", "B", True), ("B", "A", 5)]),
+    "zero_amount": _graph_text(["A", "B"], [("A", "B", 0), ("B", "A", 5)]),
+    "negative_amount": _graph_text(["A", "B"], [("A", "B", -5), ("B", "A", 5)]),
+    "unlisted_endpoint": _graph_text(["A"], [("A", "B", 5), ("B", "A", 5)]),
+    "not_json": "vertices: A, B\n",
+    "not_an_object": "[]",
+    "missing_edges": json.dumps({"vertices": ["A", "B"]}),
+    "edge_missing_amount": json.dumps({"vertices": ["A", "B"], "edges": [{"debtor": "A", "creditor": "B"}]}),
+    "edge_not_an_object": json.dumps({"vertices": ["A", "B"], "edges": [["A", "B", 5]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+def test_malformed_graph_json_is_input_error(tmp_path, capsys, case):
+    graph = tmp_path / "graph.json"
+    graph.write_text(BAD_GRAPHS[case], encoding="utf-8")
+    out = tmp_path / "circuits.txt"
+    assert main(["circuits", "--graph", str(graph), "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["scc", "--graph", str(graph)]) == 2
+
+
+def test_non_utf8_graph_json_is_input_error(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+    assert main(["circuits", "--graph", str(graph)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def _intro_graph(tmp_path: Path) -> Path:
+    csv_path = tmp_path / "intro.csv"
+    csv_path.write_text(INTRO_CSV, encoding="utf-8")
+    graph = tmp_path / "g.json"
+    assert main(["ingest", "--input", str(csv_path), "--out", str(graph)]) == 0
+    return graph
+
+
+@pytest.mark.parametrize("line", ["A,B,C,A,B,C", "A", "A,B,Z"])
+def test_plan_rejects_circuits_that_cannot_be_settled(tmp_path, capsys, line):
+    graph = _intro_graph(tmp_path)
+    lines = tmp_path / "circuits.txt"
+    lines.write_text(line + "\n", encoding="utf-8")
+    assert main(["plan", "--graph", str(graph), "--circuits", str(lines)]) == 2
+    structured = tmp_path / "circuits.json"
+    structured.write_text(json.dumps({"components": [{"scc_index": 0, "circuits": [line.split(",")]}]}),
+                          encoding="utf-8")
+    assert main(["plan", "--graph", str(graph), "--circuits", str(structured)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[]",
+    '{"components": [{"circuits": [["A", "B", "C"]]}]}',
+    '{"components": [{"scc_index": 0}]}',
+    '{"components": [{"scc_index": 0, "circuits": [[["A"], "B", "C"]]}]}',
+])
+def test_plan_rejects_malformed_circuits_json(tmp_path, capsys, text):
+    graph = _intro_graph(tmp_path)
+    structured = tmp_path / "circuits.json"
+    structured.write_text(text, encoding="utf-8")
+    assert main(["plan", "--graph", str(graph), "--circuits", str(structured)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_truncation_exit_code_and_no_partial_plans(tmp_path, overlap_csv):
     out = tmp_path / "out"
     code = main(["run", "--input", str(overlap_csv), "--out-dir", str(out),

@@ -56,6 +56,7 @@ class TestIngest:
             inv(9, "A", "A", 10),
             inv(9, "A", "B", 0),
             inv(9, "A", "B", -5),
+            inv(9, "A", "B", True),
             Invoice("", "A", "B", 10, date(2020, 1, 1)),
         ],
     )

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcycle import (
     EnumerationConfig,
@@ -115,6 +117,30 @@ class TestExactOptimizer:
             oracle = best_order_by_permutation(g, circuits)
             assert exact.total == oracle.total
 
+    def test_whole_plan_matches_tie_break_oracle(self):
+        # weights 1-3 make equal-total orders common, so the tie-break decides
+        rng = random.Random(77)
+        checked = differs = 0
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(3, 5), 0.9, max_weight=3)
+            circuits = merge_circuits(enumerate_graph(g, tarjan(g), EnumerationConfig()))
+            if not circuits:
+                continue
+            circuits = rng.sample(circuits, rng.randint(1, min(7, len(circuits))))
+            plans = {}
+            for tie_break in ("balanced", "canonical"):
+                exact = optimize_order(g, circuits, OptimizerConfig(mode="exact", tie_break=tie_break))
+                oracle = best_order_by_permutation(g, circuits, tie_break=tie_break)
+                assert exact.steps == oracle.steps
+                assert exact.skipped == sorted(oracle.skipped)
+                assert exact.total == oracle.total
+                plans[tie_break] = exact.steps
+            checked += 1
+            differs += plans["balanced"] != plans["canonical"]
+        assert checked >= 90
+        # the keys must disagree on some instances for the check to bite
+        assert differs >= 3
+
 
 class TestGreedyOptimizer:
     def test_overlap_instance_takes_big_ring(self, overlap_graph):
@@ -178,6 +204,23 @@ class TestReplay:
             replay(tampered, plan)
         assert err.value.step_index == 1
         assert dict(tampered.edges()) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), st.integers(1, 9)),
+            max_size=14,
+        ),
+        st.sampled_from(["exact", "greedy", "auto"]),
+    )
+    def test_replay_lowers_total_weight_by_plan_total(self, edges, mode):
+        g = graph_of([(u, v, w) for u, v, w in edges if u != v])
+        circuits = merge_circuits(enumerate_graph(g, tarjan(g), EnumerationConfig()))[:10]
+        # threshold 5 sends auto down both branches
+        plan = optimize_order(g, circuits, OptimizerConfig(mode=mode, exact_threshold=5))
+        fresh = g.copy()
+        replay(fresh, plan)
+        assert g.total_weight() - fresh.total_weight() == plan.total
 
 
 class TestPlanPerScc:
