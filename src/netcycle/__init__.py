@@ -12,8 +12,6 @@ from .circuits import (
     ComponentCircuits,
     EnumerationConfig,
     EnumerationResult,
-    available_engines,
-    default_engine,
     enumerate_circuits,
     enumerate_graph,
     merge_circuits,
@@ -53,13 +51,11 @@ from .pipeline import (
 )
 from .scc import SccPartition, nontrivial_components, tarjan
 from .settlement import (
-    ConflictGraph,
     ExactSearchRefused,
     OptimizerConfig,
     PlanStep,
     SettlementPlan,
     StalePlanError,
-    build_conflict_graph,
     optimize_order,
     plan_for_order,
     plan_per_scc,

@@ -1,25 +1,18 @@
 """Elementary circuit enumeration with a circuit-length cap.
 
-Both engines search once per start vertex s, in ascending order, over the
+The search runs once per start vertex s, in ascending order, over the
 subgraph induced by vertices >= s, visiting successors in ascending order.
 So every circuit is found exactly once, in canonical rotation, from its
 smallest vertex, and circuits are emitted in lexicographic order.
 
-The pure-Python engine in this module runs a length-aware search (after
-Gupta & Suzumura, "Finding All Bounded-Length Simple Cycles in a Directed
-Graph", 2021): a reverse BFS from s gives each vertex's hop distance back
-to s, and the path extends to w only if a circuit through w still fits the
-cap. The compiled kernel (_fastcircuits) runs Johnson's blocked search,
-with a cap that propagates like a found circuit so the whole chain
-unblocks. Both emit the same circuits in the same order.
-
-The kernel is picked at import when present; NETCYCLE_ENGINE=python forces
-the pure-Python engine.
+The search is length-aware (after Gupta & Suzumura, "Finding All
+Bounded-Length Simple Cycles in a Directed Graph", 2021): a reverse BFS
+from s gives each vertex's hop distance back to s, and the path extends to
+w only if a circuit through w still fits the cap.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -27,31 +20,13 @@ from typing import Iterable
 from .ledger import Circuit, CompanyId, DebtGraph
 from .scc import SccPartition, nontrivial_components
 
-try:
-    from . import _fastcircuits as _fast
-except ImportError:  # extension not built; pure Python only
-    _fast = None
-
-
-def available_engines() -> list[str]:
-    return ["fast", "python"] if _fast is not None else ["python"]
-
-
-def default_engine() -> str:
-    if os.environ.get("NETCYCLE_ENGINE") in ("python", "fast"):
-        return os.environ["NETCYCLE_ENGINE"]
-    return "fast" if _fast is not None else "python"
-
 
 def resolve_engine(engine: str | None) -> str:
-    engine = engine or "auto"
-    if engine == "auto":
-        return default_engine()
-    if engine == "fast" and _fast is None:
-        raise RuntimeError("compiled engine requested but netcycle._fastcircuits is not built")
-    if engine not in ("fast", "python"):
+    """Name of the circuit engine: "python", the only one. None and "auto"
+    resolve to it; any other name is a ValueError."""
+    if engine not in (None, "auto", "python"):
         raise ValueError(f"unknown engine {engine!r}")
-    return engine
+    return "python"
 
 
 @dataclass
@@ -78,7 +53,6 @@ class EnumerationResult:
     circuits: list[Circuit]
     truncated: bool = False
     truncation_reason: str | None = None
-    engine: str = "python"
 
 
 @dataclass
@@ -107,8 +81,7 @@ class _Stop(Exception):
 class ComponentIndex:
     """One component over local vertex indices. verts is in ascending id
     order, so index order is id order; succ[i] lists i's successors
-    ascending and pred[i] its predecessors. Built once per component and
-    shared by both engines."""
+    ascending and pred[i] its predecessors."""
 
     verts: list[CompanyId]
     succ: list[list[int]]
@@ -185,7 +158,7 @@ def search_from(
     extend(s)
 
 
-def _enumerate_python(
+def _search(
     index: ComponentIndex, cfg: EnumerationConfig
 ) -> tuple[list[tuple[int, ...]], str | None]:
     budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
@@ -198,42 +171,20 @@ def _enumerate_python(
     return out, None
 
 
-def _enumerate_fast(
-    index: ComponentIndex, cfg: EnumerationConfig
-) -> tuple[list[tuple[int, ...]], str | None]:
-    indptr = [0]
-    indices: list[int] = []
-    for row in index.succ:
-        indices.extend(row)
-        indptr.append(len(indices))
-    deadline = 0.0
-    if cfg.per_scc_time_budget is not None:
-        deadline = time.monotonic() + cfg.per_scc_time_budget
-    raw, reason_code = _fast.enumerate_component(
-        indptr, indices, len(index.verts), cfg.max_len,
-        -1 if cfg.max_circuits is None else cfg.max_circuits, deadline,
-    )
-    reasons = {0: None, 1: "max_circuits", 2: "time_budget"}
-    return raw, reasons[reason_code]
-
-
 def enumerate_circuits(
     g: DebtGraph,
     component: Iterable[CompanyId],
     cfg: EnumerationConfig | None = None,
-    engine: str | None = None,
 ) -> EnumerationResult:
     """All elementary circuits of the component's induced subgraph with
     length <= cfg.max_len, each once, canonical rotation, emitted in
     lexicographic order. A hit budget yields a truncated partial result."""
     cfg = cfg or EnumerationConfig()
-    engine = resolve_engine(engine)
     index = component_adjacency(g, component)
-    search = _enumerate_fast if engine == "fast" else _enumerate_python
-    raw, reason = search(index, cfg)
+    raw, reason = _search(index, cfg)
     verts = index.verts
     circuits = [tuple([verts[i] for i in c]) for c in raw]
-    return EnumerationResult(circuits, reason is not None, reason, engine)
+    return EnumerationResult(circuits, reason is not None, reason)
 
 
 def enumerate_graph(
@@ -246,8 +197,10 @@ def enumerate_graph(
     """Enumerate every nontrivial component, in component index order.
 
     Components share no edges, so they may run in parallel; results are
-    merged back by component index either way.
+    merged back by component index either way. `engine` accepts only the
+    names resolve_engine does.
     """
+    resolve_engine(engine)
     cfg = cfg or EnumerationConfig()
     jobs = [
         (partition.component_of[comp[0]], comp)
@@ -256,7 +209,7 @@ def enumerate_graph(
 
     def run(job: tuple[int, list[CompanyId]]) -> ComponentCircuits:
         idx, comp = job
-        return ComponentCircuits(idx, enumerate_circuits(g, comp, cfg, engine))
+        return ComponentCircuits(idx, enumerate_circuits(g, comp, cfg))
 
     if parallelism > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -11,18 +11,17 @@ import argparse
 import json
 import os
 import sys
-import time
 import traceback
 from pathlib import Path
 
 from . import __version__
 from .circuits import (
+    ComponentCircuits,
     EnumerationConfig,
-    available_engines,
+    EnumerationResult,
     enumerate_graph,
     merge_circuits,
 )
-from .circuits import ComponentCircuits, EnumerationResult
 from .datagen import InfeasibleRequest, generate_synthetic
 from .ledger import DebtGraph, InvoiceError, ingest_csv, write_invoices_csv
 from .pipeline import (
@@ -45,14 +44,18 @@ EXIT_INPUT = 2
 EXIT_TRUNCATED_STRICT = 3
 
 
-def _env(command: str, flag: str, fallback, cast=str):
+def _env(command: str, flag: str, fallback, cast=None):
+    """The flag's default: its environment variable if set, else fallback.
+    A set value stays a string, which argparse converts and checks with
+    the flag's `type` as if given on the command line. store_true flags
+    pass cast=bool."""
     key = f"NETCYCLE_{command}_{flag}".upper().replace("-", "_")
     raw = os.environ.get(key)
     if raw is None:
         return fallback
     if cast is bool:
         return raw.lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+    return raw
 
 
 def _optional(cast):
@@ -62,40 +65,52 @@ def _optional(cast):
     return convert
 
 
-def _add_engine_flags(p: argparse.ArgumentParser, cmd: str) -> None:
-    p.add_argument(
-        "--engine",
-        choices=["auto", "fast", "python"],
-        default=_env(cmd, "engine", "auto"),
-        help="circuit-search engine (default: compiled kernel when built)",
-    )
+def _at_least(cast, low, *, strict=False):
+    """An argparse type: cast, then reject values below low (or equal to
+    it when strict), so an out-of-range flag is a usage error (exit 2)."""
+
+    def convert(raw):
+        value = cast(raw)
+        if not (value > low if strict else value >= low):  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {raw!r}")
+        return value
+
+    return convert
+
+
+def _add_parallelism_flag(p: argparse.ArgumentParser, cmd: str) -> None:
+    p.add_argument("--parallelism", type=_at_least(int, 1), default=_env(cmd, "parallelism", 1),
+                   help="components searched or planned at once (default 1)")
 
 
 def _add_enum_flags(p: argparse.ArgumentParser, cmd: str) -> None:
-    p.add_argument("--max-len", type=int, default=_env(cmd, "max-len", 8, int),
+    p.add_argument("--max-len", type=_at_least(int, 2), default=_env(cmd, "max-len", 8),
                    help="circuit length cap (default 8)")
-    p.add_argument("--max-circuits", type=_optional(int),
-                   default=_env(cmd, "max-circuits", None, _optional(int)),
+    p.add_argument("--max-circuits", type=_optional(_at_least(int, 1)),
+                   default=_env(cmd, "max-circuits", None),
                    help="stop after this many circuits per component")
-    p.add_argument("--time-budget", type=_optional(float),
-                   default=_env(cmd, "time-budget", None, _optional(float)),
+    p.add_argument("--time-budget", type=_optional(_at_least(float, 0, strict=True)),
+                   default=_env(cmd, "time-budget", None),
                    help="wall-clock seconds allowed per component")
 
 
 def _add_plan_flags(p: argparse.ArgumentParser, cmd: str) -> None:
     p.add_argument("--mode", choices=["auto", "exact", "greedy"],
                    default=_env(cmd, "mode", "auto"))
-    p.add_argument("--exact-threshold", type=int,
-                   default=_env(cmd, "exact-threshold", 10, int),
+    p.add_argument("--exact-threshold", type=_at_least(int, 1),
+                   default=_env(cmd, "exact-threshold", 10),
                    help="auto mode uses exact search up to this many circuits")
 
 
-def _load_graph(path: str) -> DebtGraph:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise InvoiceError(path, f"not UTF-8 text: {err}") from None
-    return DebtGraph.from_json(text)
+
+
+def _load_graph(path: str) -> DebtGraph:
+    return DebtGraph.from_json(_read_text(path))
 
 
 def _check_circuit(circuit: tuple, partition: SccPartition, locator: str) -> None:
@@ -112,7 +127,7 @@ def _check_circuit(circuit: tuple, partition: SccPartition, locator: str) -> Non
 def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> list[ComponentCircuits]:
     """Read circuits from a structured .json artifact or plain canonical
     lines, grouped per component."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if path.endswith(".json"):
         try:
             components = [
@@ -180,7 +195,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     cfg = EnumerationConfig(args.max_len, args.max_circuits, args.time_budget)
-    per_component = enumerate_graph(graph, partition, cfg, args.engine, args.parallelism)
+    per_component = enumerate_graph(graph, partition, cfg, parallelism=args.parallelism)
     merged = merge_circuits(per_component)
     _write_or_print(circuits_lines(merged), args.out)
     if args.json:
@@ -224,8 +239,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         exact_threshold=args.exact_threshold,
         strict=not args.lenient,
         parallelism=args.parallelism,
-        engine=args.engine,
-        emit_conflicts=args.emit_conflicts,
     )
     report = run_pipeline(cfg)
     json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -247,37 +260,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    _write_or_print(emit_report_csv(RunReport.from_dict(payload)), args.out)
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.graph:
-        graph = _load_graph(args.graph)
-    else:
-        from .ledger import ingest
-
-        invoices = generate_synthetic(args.companies, args.edges, args.seed)
-        graph = ingest(invoices).graph
-    partition = tarjan(graph)
-    cfg = EnumerationConfig(args.max_len, args.max_circuits, args.time_budget)
-    outputs = {}
-    for engine in available_engines():
-        best = None
-        for _ in range(args.repeat):
-            t = time.perf_counter()
-            per_component = enumerate_graph(graph, partition, cfg, engine)
-            elapsed = time.perf_counter() - t
-            best = elapsed if best is None else min(best, elapsed)
-        circuits = merge_circuits(per_component)
-        outputs[engine] = circuits
-        print(f"{engine:>7}: {best:8.3f}s  {len(circuits)} circuits")
-    if len(outputs) == 2:
-        agree = outputs["fast"] == outputs["python"]
-        print(f"engines agree: {agree}")
-        if not agree:
-            return EXIT_INTERNAL
+    text = _read_text(args.report)
+    try:
+        csv_text = emit_report_csv(RunReport.from_dict(json.loads(text)))
+    except (ValueError, TypeError, AttributeError) as err:
+        raise InvoiceError(args.report, f"not a run report: {err!r}") from None
+    _write_or_print(csv_text, args.out)
     return EXIT_OK
 
 
@@ -310,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=_env("circuits", "json", None),
                    help="also write the structured per-component artifact here")
     p.add_argument("--lenient", action="store_true", default=_env("circuits", "lenient", False, bool))
-    p.add_argument("--parallelism", type=int, default=_env("circuits", "parallelism", 1, int))
+    _add_parallelism_flag(p, "circuits")
     _add_enum_flags(p, "circuits")
-    _add_engine_flags(p, "circuits")
     p.set_defaults(func=cmd_circuits)
 
     p = sub.add_parser("plan", help="optimize settlement order for enumerated circuits")
@@ -320,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuits", required=True, help="circuits.json or canonical lines file")
     p.add_argument("--out", default=None, help="plans JSON path (default stdout)")
     p.add_argument("--lenient", action="store_true", default=_env("plan", "lenient", False, bool))
-    p.add_argument("--parallelism", type=int, default=_env("plan", "parallelism", 1, int))
+    _add_parallelism_flag(p, "plan")
     _add_plan_flags(p, "plan")
     p.set_defaults(func=cmd_plan)
 
@@ -328,21 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="invoice CSV")
     p.add_argument("--out-dir", required=True, help="artifact directory")
     p.add_argument("--lenient", action="store_true", default=_env("run", "lenient", False, bool))
-    p.add_argument("--parallelism", type=int, default=_env("run", "parallelism", 1, int))
-    p.add_argument("--emit-conflicts", action="store_true",
-                   default=_env("run", "emit-conflicts", False, bool),
-                   help="also write the per-component circuit conflict graphs")
+    _add_parallelism_flag(p, "run")
     _add_enum_flags(p, "run")
     _add_plan_flags(p, "run")
-    _add_engine_flags(p, "run")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("gen", help="generate a synthetic invoice CSV")
     p.add_argument("--companies", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_env("gen", "seed", 0, int))
-    p.add_argument("--min-amount", type=int, default=_env("gen", "min-amount", 100, int))
-    p.add_argument("--max-amount", type=int, default=_env("gen", "max-amount", 10**9, int))
+    p.add_argument("--seed", type=int, default=_env("gen", "seed", 0))
+    p.add_argument("--min-amount", type=int, default=_env("gen", "min-amount", 100))
+    p.add_argument("--max-amount", type=int, default=_env("gen", "max-amount", 10**9))
     p.add_argument("--out", default=_env("gen", "out", None), help="CSV path (default stdout)")
     p.set_defaults(func=cmd_gen)
 
@@ -350,15 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("bench", help="time the circuit engines against each other")
-    p.add_argument("--graph", default=None, help="graph JSON; omit to generate one")
-    p.add_argument("--companies", type=int, default=_env("bench", "companies", 2000, int))
-    p.add_argument("--edges", type=int, default=_env("bench", "edges", 7000, int))
-    p.add_argument("--seed", type=int, default=_env("bench", "seed", 0, int))
-    p.add_argument("--repeat", type=int, default=_env("bench", "repeat", 1, int))
-    _add_enum_flags(p, "bench")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -320,7 +320,8 @@ def read_invoices(stream: IO[str], *, strict: bool = True) -> Iterator[Invoice |
     RejectedRecords for rows that do not parse.
 
     Expected header: invoice_id,debtor,creditor,amount_minor,issue_date
-    Text the csv module cannot parse fails the whole read, in either mode.
+    Text the csv module cannot parse, or bytes that are not the stream's
+    encoding, fail the whole read, in either mode.
     """
     reader = csv.DictReader(stream)
     try:
@@ -338,6 +339,9 @@ def read_invoices(stream: IO[str], *, strict: bool = True) -> Iterator[Invoice |
                 yield RejectedRecord(err.locator, err.reason)
     except csv.Error as err:
         raise InvoiceError(f"line {reader.line_num}", f"malformed CSV: {err}") from None
+    except UnicodeDecodeError as err:
+        # decoding runs ahead in blocks, so the bad byte is past this line
+        raise InvoiceError(f"after line {reader.line_num}", f"undecodable bytes: {err}") from None
 
 
 def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:

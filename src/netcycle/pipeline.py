@@ -16,7 +16,7 @@ from pathlib import Path
 from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, merge_circuits, resolve_engine
 from .ledger import DebtGraph, DensityUndefinedError, IngestResult, density, ingest_csv
 from .scc import SccPartition, tarjan
-from .settlement import OptimizerConfig, SettlementPlan, build_conflict_graph, plan_per_scc
+from .settlement import OptimizerConfig, SettlementPlan, plan_per_scc
 
 
 @dataclass
@@ -30,8 +30,7 @@ class PipelineConfig:
     exact_threshold: int = 10
     strict: bool = True
     parallelism: int = 1
-    engine: str = "auto"
-    emit_conflicts: bool = False
+    engine: str = "auto"  # "auto" or "python": see circuits.resolve_engine
 
     def enumeration(self) -> EnumerationConfig:
         return EnumerationConfig(self.max_len, self.max_circuits, self.time_budget)
@@ -245,15 +244,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         cfg.parallelism, per_component=per_component,
     )
     (out / "plans.json").write_text(plans_json(plans), encoding="utf-8")
-    if cfg.emit_conflicts:
-        conflicts = [
-            {
-                "scc_index": item.scc_index,
-                **build_conflict_graph(graph, item.result.circuits).to_dict(),
-            }
-            for item in per_component
-        ]
-        (out / "conflicts.json").write_text(json.dumps(conflicts, indent=2) + "\n", encoding="utf-8")
     timings["plan"] = time.perf_counter() - t3
     timings["total"] = time.perf_counter() - t0
 

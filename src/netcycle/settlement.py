@@ -11,10 +11,10 @@ the circuit length.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph
+from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, resolve_engine
 from .ledger import (
     Circuit,
     CompanyId,
@@ -93,46 +93,6 @@ class SettlementPlan:
             "truncated": self.truncated,
             "truncation_reason": self.truncation_reason,
         }
-
-
-@dataclass
-class ConflictGraph:
-    """Circuits as nodes; an edge joins two circuits sharing at least one
-    debt edge. Shared edges bound both circuits' settle values, so the
-    contested amount, the edge weight, is the smaller of the two values."""
-
-    nodes: list[Circuit]
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def weight(self, i: int, j: int) -> int | None:
-        if i > j:
-            i, j = j, i
-        return self.edges.get((i, j))
-
-    def to_dict(self) -> dict:
-        return {
-            "circuits": [list(c) for c in self.nodes],
-            "conflicts": [
-                {"a": i, "b": j, "contested": w}
-                for (i, j), w in sorted(self.edges.items())
-            ],
-        }
-
-
-def build_conflict_graph(g: DebtGraph, circuits: list[Circuit]) -> ConflictGraph:
-    nodes = sorted(circuits)
-    values = [circuit_value(g, c) for c in nodes]
-    by_edge: dict[tuple[CompanyId, CompanyId], list[int]] = {}
-    for i, c in enumerate(nodes):
-        for e in circuit_edges(c):
-            by_edge.setdefault(e, []).append(i)
-    edges: dict[tuple[int, int], int] = {}
-    for holders in by_edge.values():
-        for a in range(len(holders)):
-            for b in range(a + 1, len(holders)):
-                i, j = holders[a], holders[b]
-                edges[(i, j)] = min(values[i], values[j])
-    return ConflictGraph(nodes, edges)
 
 
 def _exact_order(
@@ -242,11 +202,13 @@ def optimize_order(
     circuits: Iterable[Circuit],
     cfg: OptimizerConfig | None = None,
 ) -> SettlementPlan:
-    """Best settlement order for `circuits` against a scratch copy of g.
+    """Best settlement order for `circuits` against the weights of g.
 
-    The input graph is never mutated. Exact mode maximizes the replay total
-    over all orders; greedy maximizes each immediate step; auto picks exact
-    for small circuit sets and greedy beyond cfg.exact_threshold.
+    The input graph is never mutated: exact mode only reads g's weights,
+    and greedy settles on a scratch graph of the circuits' own edges.
+    Exact mode maximizes the replay total over all orders; greedy
+    maximizes each immediate step; auto picks exact for small circuit sets
+    and greedy beyond cfg.exact_threshold.
     """
     cfg = cfg or OptimizerConfig()
     circuits = list(circuits)
@@ -258,18 +220,18 @@ def optimize_order(
             f"{len(circuits)} circuits exceeds the exact-mode cap of "
             f"{cfg.exact_hard_cap}; use greedy mode"
         )
-    # Only the circuits' own edges matter to the optimizer; a scratch graph
-    # of just those edges keeps per-component cost independent of |E|.
-    scratch = DebtGraph()
-    for c in circuits:
-        for u, v in circuit_edges(c):
-            if scratch.weight(u, v) == 0:
-                w = g.weight(u, v)
-                if w > 0:
-                    scratch.add_obligation(u, v, w)
     if mode == "exact":
-        steps, total, skipped = _exact_order(scratch, circuits, cfg)
+        steps, total, skipped = _exact_order(g, circuits, cfg)
     else:
+        # Only the circuits' own edges matter to greedy; a scratch graph of
+        # just those edges keeps per-component cost independent of |E|.
+        scratch = DebtGraph()
+        for c in circuits:
+            for u, v in circuit_edges(c):
+                if scratch.weight(u, v) == 0:
+                    w = g.weight(u, v)
+                    if w > 0:
+                        scratch.add_obligation(u, v, w)
         steps, total, skipped = _greedy_order(scratch, circuits)
     return SettlementPlan(steps=steps, total=total, skipped=skipped, mode=mode)
 
@@ -321,8 +283,10 @@ def plan_per_scc(
 
     Components share no edges, so plans commute and the grand total is the
     sum of plan totals. Pre-enumerated circuits may be passed to avoid
-    re-running enumeration; truncation flags carry into the plans.
+    re-running enumeration; truncation flags carry into the plans. `engine`
+    accepts only the names resolve_engine does.
     """
+    resolve_engine(engine)
     opt_cfg = opt_cfg or OptimizerConfig()
     if per_component is None:
         per_component = enumerate_graph(g, partition, enum_cfg, engine, parallelism)

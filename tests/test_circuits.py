@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from netcycle import (
     EnumerationConfig,
-    available_engines,
     enumerate_circuits,
     enumerate_graph,
     merge_circuits,
@@ -26,29 +25,25 @@ from conftest import (
     random_graph,
 )
 
-ENGINES = available_engines()
-per_engine = pytest.mark.parametrize("engine", ENGINES)
+
+def enumerate_whole(g, cfg):
+    return merge_circuits(enumerate_graph(g, tarjan(g), cfg))
 
 
-def enumerate_whole(g, cfg, engine):
-    return merge_circuits(enumerate_graph(g, tarjan(g), cfg, engine))
-
-
-@per_engine
 class TestExamples:
-    def test_three_cycle(self, intro_graph, engine):
-        res = enumerate_circuits(intro_graph, ["A", "B", "C"], EnumerationConfig(), engine)
+    def test_three_cycle(self, intro_graph):
+        res = enumerate_circuits(intro_graph, ["A", "B", "C"], EnumerationConfig())
         assert res.circuits == [("A", "B", "C")]
         assert not res.truncated
 
-    def test_antiparallel_pair(self, engine):
+    def test_antiparallel_pair(self):
         g = graph_of([("A", "B", 5), ("B", "A", 3)])
-        res = enumerate_circuits(g, ["A", "B"], EnumerationConfig(), engine)
+        res = enumerate_circuits(g, ["A", "B"], EnumerationConfig())
         assert res.circuits == [("A", "B")]
 
-    def test_overlapping_instance_contains_named_circuits(self, overlap_graph, engine):
+    def test_overlapping_instance_contains_named_circuits(self, overlap_graph):
         res = enumerate_circuits(g=overlap_graph, component=sorted("ABCDEFGH"),
-                                 cfg=EnumerationConfig(max_len=8), engine=engine)
+                                 cfg=EnumerationConfig(max_len=8))
         for c in OVERLAP_CIRCUITS:
             assert c in res.circuits
         # the union of the three overlapping circuits necessarily embeds
@@ -56,21 +51,21 @@ class TestExamples:
         assert res.circuits == circuits_by_dfs(overlap_graph, 8)
         assert len(res.circuits) == 5
 
-    def test_complete_digraph_k4_capped_at_three(self, engine):
+    def test_complete_digraph_k4_capped_at_three(self):
         g = complete_digraph(4)
-        res = enumerate_circuits(g, ["A", "B", "C", "D"], EnumerationConfig(max_len=3), engine)
+        res = enumerate_circuits(g, ["A", "B", "C", "D"], EnumerationConfig(max_len=3))
         # frozen from the exhaustive oracle: 6 two-cycles + 8 three-cycles
         assert res.circuits == circuits_by_dfs(g, 3)
         counts = Counter(len(c) for c in res.circuits)
         assert counts == {2: 6, 3: 8}
         assert len(res.circuits) == 14
 
-    def test_cap_excludes_longer_circuits(self, engine):
+    def test_cap_excludes_longer_circuits(self):
         g = complete_digraph(4)
-        res = enumerate_circuits(g, ["A", "B", "C", "D"], EnumerationConfig(max_len=3), engine)
+        res = enumerate_circuits(g, ["A", "B", "C", "D"], EnumerationConfig(max_len=3))
         assert all(len(c) <= 3 for c in res.circuits)
 
-    def test_capped_blocking_keeps_shortcut_circuit(self, engine):
+    def test_capped_blocking_keeps_shortcut_circuit(self):
         # a->b->c->d->e->a plus the chord a->c: searching a->b->c->d hits the
         # cap at e, and c, d must not stay blocked for the a->c path, or the
         # four-party circuit (a,c,d,e) disappears.
@@ -78,38 +73,37 @@ class TestExamples:
             ("a", "b", 1), ("b", "c", 1), ("c", "d", 1),
             ("d", "e", 1), ("e", "a", 1), ("a", "c", 1),
         ])
-        res = enumerate_circuits(g, sorted(g.vertices), EnumerationConfig(max_len=4), engine)
+        res = enumerate_circuits(g, sorted(g.vertices), EnumerationConfig(max_len=4))
         assert res.circuits == [("a", "c", "d", "e")]
 
 
-@per_engine
 class TestProperties:
-    def test_matches_oracle_on_random_graphs(self, engine):
+    def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(31337)
         for _ in range(150):
             n = rng.randint(2, 10)
             p = rng.uniform(0.1, 0.9) if n <= 7 else rng.uniform(0.05, 0.5)
             g = random_graph(rng, n, p)
             max_len = rng.randint(2, n)
-            mine = enumerate_whole(g, EnumerationConfig(max_len=max_len), engine)
+            mine = enumerate_whole(g, EnumerationConfig(max_len=max_len))
             assert mine == circuits_by_dfs(g, max_len)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(4, 9))
-    def test_monotone_in_cap(self, engine, seed, n):
+    def test_monotone_in_cap(self, seed, n):
         g = random_graph(random.Random(seed), n, 0.35)
         previous: set = set()
         for max_len in range(2, n + 1):
-            current = set(enumerate_whole(g, EnumerationConfig(max_len=max_len), engine))
+            current = set(enumerate_whole(g, EnumerationConfig(max_len=max_len)))
             assert previous <= current
             previous = current
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_elementary_unique_and_sorted(self, engine, seed):
+    def test_elementary_unique_and_sorted(self, seed):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(2, 9), 0.4)
-        circuits = enumerate_whole(g, EnumerationConfig(max_len=8), engine)
+        circuits = enumerate_whole(g, EnumerationConfig(max_len=8))
         assert circuits == sorted(circuits)
         assert len(set(circuits)) == len(circuits)
         seen_rotations = set()
@@ -122,61 +116,47 @@ class TestProperties:
             assert rotations not in seen_rotations
             seen_rotations.add(rotations)
 
-    def test_containment_in_component(self, engine):
+    def test_containment_in_component(self):
         rng = random.Random(5)
         g = random_graph(rng, 20, 0.12)
         partition = tarjan(g)
-        for item in enumerate_graph(g, partition, EnumerationConfig(), engine):
+        for item in enumerate_graph(g, partition, EnumerationConfig()):
             members = set(partition.components[item.scc_index])
             for c in item.result.circuits:
                 assert set(c) <= members
 
 
-@per_engine
 class TestTruncation:
-    def test_max_circuits_emits_then_stops(self, engine):
+    def test_max_circuits_emits_then_stops(self):
         g = complete_digraph(6)
-        res = enumerate_circuits(g, sorted(g.vertices), EnumerationConfig(max_len=6, max_circuits=4), engine)
+        res = enumerate_circuits(g, sorted(g.vertices), EnumerationConfig(max_len=6, max_circuits=4))
         assert len(res.circuits) == 4
         assert res.truncated
         assert res.truncation_reason == "max_circuits"
 
-    def test_time_budget(self, engine):
+    def test_time_budget(self):
         g = complete_digraph(11, weight=2)
         cfg = EnumerationConfig(max_len=11, per_scc_time_budget=0.02)
-        res = enumerate_circuits(g, sorted(g.vertices), cfg, engine)
+        res = enumerate_circuits(g, sorted(g.vertices), cfg)
         assert res.truncated
         assert res.truncation_reason == "time_budget"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 40))
-    def test_max_circuits_gives_prefix(self, engine, seed, k):
+    def test_max_circuits_gives_prefix(self, seed, k):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(3, 9), 0.4)
         component = sorted(g.vertices)
-        full = enumerate_circuits(g, component, EnumerationConfig(max_len=6), engine).circuits
-        res = enumerate_circuits(g, component, EnumerationConfig(max_len=6, max_circuits=k), engine)
+        full = enumerate_circuits(g, component, EnumerationConfig(max_len=6)).circuits
+        res = enumerate_circuits(g, component, EnumerationConfig(max_len=6, max_circuits=k))
         assert res.circuits == full[:k]
         assert res.truncated == (k <= len(full))
 
-    def test_untruncated_result_is_flag_free(self, intro_graph, engine):
+    def test_untruncated_result_is_flag_free(self, intro_graph):
         res = enumerate_circuits(intro_graph, ["A", "B", "C"],
-                                 EnumerationConfig(max_circuits=100, per_scc_time_budget=60), engine)
+                                 EnumerationConfig(max_circuits=100, per_scc_time_budget=60))
         assert not res.truncated
         assert res.truncation_reason is None
-
-
-def test_engines_emit_identically():
-    if len(ENGINES) < 2:
-        pytest.skip("only one engine built")
-    rng = random.Random(77)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5))
-        cfg = EnumerationConfig(max_len=rng.randint(2, 8))
-        outs = [
-            merge_circuits(enumerate_graph(g, tarjan(g), cfg, e)) for e in ENGINES
-        ]
-        assert outs[0] == outs[1]
 
 
 def test_config_validation():
@@ -186,6 +166,26 @@ def test_config_validation():
         EnumerationConfig(max_circuits=0)
     with pytest.raises(ValueError):
         EnumerationConfig(per_scc_time_budget=0)
+
+
+def test_engine_names(tmp_path, intro_graph):
+    from netcycle import PipelineConfig, plan_per_scc, run_pipeline
+    from netcycle.circuits import resolve_engine
+
+    partition = tarjan(intro_graph)
+    for name in (None, "auto", "python"):
+        assert resolve_engine(name) == "python"
+        assert merge_circuits(enumerate_graph(intro_graph, partition, None, name)) == [("A", "B", "C")]
+        assert plan_per_scc(intro_graph, partition, None, None, name)[0].total == 3 * 2_300_000
+    for name in ("fast", "Python", ""):
+        with pytest.raises(ValueError):
+            resolve_engine(name)
+        with pytest.raises(ValueError):
+            enumerate_graph(intro_graph, partition, None, name)
+        with pytest.raises(ValueError):
+            plan_per_scc(intro_graph, partition, None, None, name)
+        with pytest.raises(ValueError):
+            run_pipeline(PipelineConfig(tmp_path / "in.csv", tmp_path / "out", engine=name))
 
 
 class TestStartSearch:

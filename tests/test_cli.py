@@ -152,6 +152,23 @@ def test_non_utf8_graph_json_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_non_utf8_csv_is_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(INTRO_CSV.encode() + b"I9,A,\xff,5,2019-01-01\n")
+    args = ["--out", str(tmp_path / "g.json")] if command == "ingest" else ["--out-dir", str(tmp_path / "o")]
+    assert main([command, "--input", str(bad), *args]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_non_utf8_circuit_lines_are_input_error(tmp_path, capsys):
+    graph = _intro_graph(tmp_path)
+    lines = tmp_path / "circuits.txt"
+    lines.write_bytes(b"A,B,\xff\n")
+    assert main(["plan", "--graph", str(graph), "--circuits", str(lines)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def _intro_graph(tmp_path: Path) -> Path:
     csv_path = tmp_path / "intro.csv"
     csv_path.write_text(INTRO_CSV, encoding="utf-8")
@@ -207,6 +224,43 @@ def test_env_var_overrides_flag(tmp_path, overlap_csv, capsys, monkeypatch):
     assert list(report["circuits_by_length"]) == ["2", "3"]
 
 
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[1,2]",
+    '{"circuits_by_length": {"x": 1}}',
+    '{"timings": {"total": "slow"}, "circuits_by_length": {"2": 1}}',
+])
+def test_malformed_report_json_is_input_error(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text, encoding="utf-8")
+    assert main(["report", "--report", str(report)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-len", "1"),
+    ("--exact-threshold", "0"),
+    ("--max-circuits", "0"),
+    ("--time-budget", "0"),
+    ("--time-budget", "nan"),
+    ("--parallelism", "0"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, overlap_csv, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o"), flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_of_range_env_value_is_usage_error(tmp_path, overlap_csv, capsys, monkeypatch):
+    monkeypatch.setenv("NETCYCLE_RUN_MAX_LEN", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--max-len" in capsys.readouterr().err
+
+
 def test_report_subcommand(tmp_path, overlap_csv, capsys):
     out = tmp_path / "out"
     main(["run", "--input", str(overlap_csv), "--out-dir", str(out)])
@@ -228,10 +282,3 @@ def test_circuits_stdout_lines(tmp_path, overlap_csv, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "A,B,D,E,F" in lines
     assert len(lines) == 5
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "--companies", "30", "--edges", "90", "--seed", "1",
-                 "--max-len", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "circuits" in out

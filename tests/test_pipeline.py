@@ -123,14 +123,6 @@ def test_parallelism_does_not_change_artifacts(tmp_path):
     assert strip_timings(tmp_path / "seq") == strip_timings(tmp_path / "par")
 
 
-def test_emit_conflicts_artifact(tmp_path):
-    cfg = PipelineConfig(write_csv(tmp_path, OVERLAP_CSV), tmp_path / "out", emit_conflicts=True)
-    run_pipeline(cfg)
-    payload = json.loads((tmp_path / "out" / "conflicts.json").read_text())
-    assert payload[0]["scc_index"] == 0
-    assert len(payload[0]["circuits"]) == 5
-
-
 class TestReportCsv:
     def test_rows_per_length(self):
         report = RunReport()

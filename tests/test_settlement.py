@@ -11,7 +11,6 @@ from netcycle import (
     ExactSearchRefused,
     OptimizerConfig,
     StalePlanError,
-    build_conflict_graph,
     enumerate_graph,
     merge_circuits,
     optimize_order,
@@ -23,38 +22,6 @@ from netcycle import (
 from netcycle.oracle import best_order_by_permutation
 
 from conftest import ABCD, ABDEF, BCGH, OVERLAP_CIRCUITS, graph_of, random_graph
-
-
-class TestConflictGraph:
-    def test_overlap_instance(self, overlap_graph):
-        cg = build_conflict_graph(overlap_graph, OVERLAP_CIRCUITS)
-        idx = {c: i for i, c in enumerate(cg.nodes)}
-        assert cg.weight(idx[ABCD], idx[ABDEF]) == 200
-        assert cg.weight(idx[ABCD], idx[BCGH]) == 300
-        assert cg.weight(idx[ABDEF], idx[BCGH]) is None
-
-    def test_disjoint_circuits_have_no_edge(self):
-        g = graph_of([
-            ("A", "B", 5), ("B", "A", 5),
-            ("C", "D", 9), ("D", "C", 9),
-        ])
-        cg = build_conflict_graph(g, [("A", "B"), ("C", "D")])
-        assert cg.edges == {}
-
-    def test_two_shared_edges_take_minimum(self):
-        # both circuits run through A->B (50) and B->C (80)
-        g = graph_of([
-            ("A", "B", 50), ("B", "C", 80), ("C", "A", 90),
-            ("C", "D", 95), ("D", "A", 85),
-        ])
-        c1 = ("A", "B", "C")
-        c2 = ("A", "B", "C", "D")
-        cg = build_conflict_graph(g, [c1, c2])
-        assert cg.weight(0, 1) == 50
-
-    def test_symmetric_lookup(self, overlap_graph):
-        cg = build_conflict_graph(overlap_graph, OVERLAP_CIRCUITS)
-        assert cg.weight(1, 0) == cg.weight(0, 1)
 
 
 class TestExactOptimizer:
