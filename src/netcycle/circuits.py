@@ -14,6 +14,7 @@ w only if a circuit through w still fits the cap.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -89,10 +90,21 @@ class ComponentIndex:
 
 
 def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> ComponentIndex:
-    """The component's induced subgraph as a ComponentIndex."""
+    """The component's induced subgraph as a ComponentIndex, cut from the
+    graph's shared index. Local order follows global order, so filtering
+    a global row through the global-to-local map keeps it ascending."""
+    index = g.index()
+    gverts, indptr, indices = index.verts, index.indptr, index.indices
     verts = sorted(set(component))
-    pos = {v: i for i, v in enumerate(verts)}
-    succ = [sorted(pos[w] for w in g.successors(v) if w in pos) for v in verts]
+    local: dict[int, int] = {}
+    for i, v in enumerate(verts):
+        p = bisect_left(gverts, v)
+        if p < len(gverts) and gverts[p] == v:
+            local[p] = i
+    # a company absent from g keeps an empty row
+    succ: list[list[int]] = [[] for _ in verts]
+    for p, i in local.items():
+        succ[i] = [local[w] for w in indices[indptr[p]:indptr[p + 1]] if w in local]
     pred: list[list[int]] = [[] for _ in verts]
     for v, row in enumerate(succ):
         for w in row:

@@ -78,6 +78,19 @@ def _at_least(cast, low, *, strict=False):
     return convert
 
 
+def _one_of(*choices: str):
+    """An argparse type that accepts only `choices`. Unlike argparse's
+    `choices`, it also checks a value taken from the environment, so a
+    bad one is a usage error (exit 2) before anything is written."""
+
+    def convert(raw):
+        if raw not in choices:
+            raise argparse.ArgumentTypeError(f"must be one of {', '.join(choices)}, got {raw!r}")
+        return raw
+
+    return convert
+
+
 def _add_parallelism_flag(p: argparse.ArgumentParser, cmd: str) -> None:
     p.add_argument("--parallelism", type=_at_least(int, 1), default=_env(cmd, "parallelism", 1),
                    help="components searched or planned at once (default 1)")
@@ -95,8 +108,8 @@ def _add_enum_flags(p: argparse.ArgumentParser, cmd: str) -> None:
 
 
 def _add_plan_flags(p: argparse.ArgumentParser, cmd: str) -> None:
-    p.add_argument("--mode", choices=["auto", "exact", "greedy"],
-                   default=_env(cmd, "mode", "auto"))
+    p.add_argument("--mode", type=_one_of("auto", "exact", "greedy"),
+                   default=_env(cmd, "mode", "auto"), help="auto, exact or greedy (default auto)")
     p.add_argument("--exact-threshold", type=_at_least(int, 1),
                    default=_env(cmd, "exact-threshold", 10),
                    help="auto mode uses exact search up to this many circuits")
@@ -344,14 +357,14 @@ def main(argv: list[str] | None = None) -> int:
     except (InvoiceError, InfeasibleRequest) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except TruncatedInStrictMode as err:
         print(f"truncated: {err}", file=sys.stderr)
         return EXIT_TRUNCATED_STRICT
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError too: a closed stdout is not a failure
         return EXIT_OK
+    except OSError as err:  # a missing input, a directory given as a file, ...
+        print(f"input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -3,15 +3,22 @@
 Companies are vertices; an edge (u, v) with weight w means u owes v the
 amount w, aggregated over all invoices from u to v. All amounts are exact
 integers in minor currency units. Floating point never touches money.
+
+Each graph keeps one sorted CSR index (`DebtGraph.index`), built on first
+use and dropped by every mutation. The `graph.json` writer, Tarjan's SCC
+search and the per-component circuit indexes all read that one index, so
+the ids are sorted and numbered once per graph state.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator
 
 CompanyId = str
@@ -64,6 +71,34 @@ class IngestResult:
     rejects: list[RejectedRecord]
 
 
+@dataclass(frozen=True)
+class GraphIndex:
+    """A graph's vertices and edges over positions in sorted id order.
+
+    verts lists the ids ascending; the successors of verts[i] are
+    indices[indptr[i]:indptr[i + 1]], ascending. Position order is id
+    order, so a walk row by row meets the edges in sorted (debtor,
+    creditor) order. Weights stay in the graph.
+    """
+
+    verts: list[CompanyId]
+    indptr: array
+    indices: array
+
+
+def _build_index(vertices: set[CompanyId], adj: dict[CompanyId, dict[CompanyId, int]]) -> GraphIndex:
+    verts = sorted(vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    indptr = array("l", [0])
+    indices = array("l")
+    for v in verts:
+        row = adj.get(v)
+        if row:
+            indices.extend(sorted([pos[w] for w in row]))
+        indptr.append(len(indices))
+    return GraphIndex(verts, indptr, indices)
+
+
 class DebtGraph:
     """Weighted directed simple graph of aggregated net obligations.
 
@@ -72,12 +107,14 @@ class DebtGraph:
     Antiparallel pairs (u, v) and (v, u) may coexist.
     """
 
-    __slots__ = ("vertices", "_adj")
+    __slots__ = ("vertices", "_adj", "_index")
 
     def __init__(self) -> None:
         self.vertices: set[CompanyId] = set()
         # debtor -> {creditor: weight}
         self._adj: dict[CompanyId, dict[CompanyId, int]] = {}
+        # the sorted index of the current vertices and edges, or None
+        self._index: GraphIndex | None = None
 
     def __contains__(self, vertex: CompanyId) -> bool:
         return vertex in self.vertices
@@ -91,6 +128,7 @@ class DebtGraph:
         if not v:
             raise ValueError("company id must be non-empty")
         self.vertices.add(v)
+        self._index = None
 
     def add_obligation(self, debtor: CompanyId, creditor: CompanyId, amount: int) -> None:
         """Aggregate `amount` onto the (debtor, creditor) edge."""
@@ -98,7 +136,7 @@ class DebtGraph:
             raise ValueError("self-obligation is not representable")
         if amount <= 0:
             raise ValueError("obligation amount must be positive")
-        self.add_vertex(debtor)
+        self.add_vertex(debtor)  # drops the index
         self.add_vertex(creditor)
         row = self._adj.setdefault(debtor, {})
         row[creditor] = row.get(creditor, 0) + amount
@@ -121,7 +159,16 @@ class DebtGraph:
     def total_weight(self) -> int:
         return sum(w for _, w in self.edges())
 
+    def index(self) -> GraphIndex:
+        """The sorted index of the graph as it is now, built on first use
+        and kept until the graph changes. Two builds of one state are
+        equal, so threads sharing a graph need no lock."""
+        if self._index is None:
+            self._index = _build_index(self.vertices, self._adj)
+        return self._index
+
     def copy(self) -> "DebtGraph":
+        """An independent graph with the same contents and no index yet."""
         g = DebtGraph()
         g.vertices = set(self.vertices)
         g._adj = {u: dict(row) for u, row in self._adj.items()}
@@ -131,8 +178,10 @@ class DebtGraph:
         """Adopt another graph's contents in place."""
         self.vertices = other.vertices
         self._adj = other._adj
+        self._index = None
 
     def _decrease(self, u: CompanyId, v: CompanyId, amount: int) -> None:
+        self._index = None
         row = self._adj[u]
         left = row[v] - amount
         if left < 0:
@@ -147,15 +196,29 @@ class DebtGraph:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> str:
-        """Deterministic snapshot: sorted vertices, edges sorted by pair."""
-        payload = {
-            "vertices": sorted(self.vertices),
-            "edges": [
-                {"debtor": u, "creditor": v, "amount_minor": w}
-                for (u, v), w in sorted(self.edges())
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        """Deterministic snapshot: sorted vertices, edges sorted by pair.
+
+        The text is exactly json.dumps(payload, indent=2) + "\\n" for
+        {"vertices": [...], "edges": [{"debtor", "creditor",
+        "amount_minor"}, ...]}, but written row by row from the index,
+        with each id quoted once by the encoder json.dumps itself uses.
+        """
+        index = self.index()
+        verts, indptr, indices = index.verts, index.indptr, index.indices
+        quoted = [encode_basestring_ascii(v) for v in verts]
+        edges: list[str] = []
+        for i, u in enumerate(verts):
+            start, end = indptr[i], indptr[i + 1]
+            if start == end:
+                continue
+            row = self._adj[u]
+            head = '{\n      "debtor": ' + quoted[i] + ',\n      "creditor": '
+            for j in indices[start:end]:
+                edges.append(f'{head}{quoted[j]},\n      "amount_minor": {row[verts[j]]}\n    }}')
+        return (
+            '{\n  "vertices": ' + _json_list(quoted)
+            + ',\n  "edges": ' + _json_list(edges) + "\n}\n"
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "DebtGraph":
@@ -192,6 +255,14 @@ class DebtGraph:
             _check_amount(amount, locator)
             g.add_obligation(u, v, amount)
         return g
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of encoded items laid out as json.dumps(indent=2) lays out a
+    list that is the value of a top-level key."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def circuit_edges(circuit: tuple[CompanyId, ...]) -> Iterator[tuple[CompanyId, CompanyId]]:

@@ -88,7 +88,7 @@ class RunReport:
         report.scc_count = payload.get("scc_count", 0)
         report.scc_size_histogram = {int(k): v for k, v in payload.get("scc_size_histogram", {}).items()}
         report.circuit_count = payload.get("circuit_count", 0)
-        report.circuits_by_length = {int(k): v for k, v in payload.get("circuits_by_length", {}).items()}
+        report.circuits_by_length = {int(k): _count(v) for k, v in payload.get("circuits_by_length", {}).items()}
         report.truncated = payload.get("truncated", False)
         report.per_scc_totals = payload.get("per_scc_totals", [])
         report.grand_total = payload.get("grand_total", 0)
@@ -98,6 +98,13 @@ class RunReport:
         report.rejected_records = payload.get("rejected_records", 0)
         report.timings = payload.get("timings", {})
         return report
+
+
+def _count(value: object) -> int:
+    # bool is an int subclass; True must not pass as a count of 1
+    if type(value) is not int or value < 0:
+        raise TypeError(f"count must be a non-negative integer, got {value!r}")
+    return value
 
 
 class TruncatedInStrictMode(RuntimeError):

@@ -2,8 +2,10 @@
 
 Single-DFS lowlink computation over an explicit stack, so graphs with
 hundreds of thousands of vertices never touch the interpreter's recursion
-limit. Circuits can only exist inside a component, so downstream stages
-run per component.
+limit. The DFS runs over the graph's shared sorted index
+(`DebtGraph.index`), the same one the `graph.json` writer and the circuit
+search read, so it builds nothing of its own. Circuits can only exist
+inside a component, so downstream stages run per component.
 """
 
 from __future__ import annotations
@@ -23,22 +25,11 @@ class SccPartition:
     component_of: dict[CompanyId, int]
 
 
-def _index_graph(g: DebtGraph) -> tuple[list[CompanyId], list[int], list[int]]:
-    """Sorted vertex list plus CSR adjacency over vertex indices.
-    Successor indices are ascending, which fixes the DFS visit order."""
-    verts = sorted(g.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    indptr = [0]
-    indices: list[int] = []
-    for v in verts:
-        indices.extend(sorted(pos[w] for w in g.successors(v)))
-        indptr.append(len(indices))
-    return verts, indptr, indices
-
-
 def tarjan(g: DebtGraph) -> SccPartition:
-    """SCC partition in O(|V| + |E|), visiting vertices in ascending id order."""
-    verts, indptr, indices = _index_graph(g)
+    """SCC partition in O(|V| + |E|), visiting vertices and, from each,
+    successors in ascending id order: the order of the graph's index."""
+    index = g.index()
+    verts, indptr, indices = index.verts, index.indptr, index.indices
     n = len(verts)
 
     UNVISITED = -1

@@ -229,6 +229,10 @@ def test_env_var_overrides_flag(tmp_path, overlap_csv, capsys, monkeypatch):
     "[1,2]",
     '{"circuits_by_length": {"x": 1}}',
     '{"timings": {"total": "slow"}, "circuits_by_length": {"2": 1}}',
+    '{"circuits_by_length": {"2": "x"}}',
+    '{"circuits_by_length": {"2": true}}',
+    '{"circuits_by_length": {"2": 1.5}}',
+    '{"circuits_by_length": {"2": -1}}',
 ])
 def test_malformed_report_json_is_input_error(tmp_path, capsys, text):
     report = tmp_path / "report.json"
@@ -259,6 +263,33 @@ def test_out_of_range_env_value_is_usage_error(tmp_path, overlap_csv, capsys, mo
         main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "--max-len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_unknown_mode_is_usage_error_and_writes_nothing(tmp_path, overlap_csv, capsys, monkeypatch, source):
+    argv = ["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--mode", "bogus"]
+    else:
+        monkeypatch.setenv("NETCYCLE_RUN_MODE", "bogus")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_directory_as_graph_is_input_error(tmp_path, capsys):
+    assert main(["scc", "--graph", str(tmp_path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_file_as_out_dir_is_input_error(tmp_path, overlap_csv, capsys):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("keep\n", encoding="utf-8")
+    assert main(["run", "--input", str(overlap_csv), "--out-dir", str(occupied)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert occupied.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_report_subcommand(tmp_path, overlap_csv, capsys):

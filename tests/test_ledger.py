@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import io
+import json
 from datetime import date
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netcycle import (
@@ -21,7 +22,10 @@ from netcycle import (
     settle,
     write_invoices_csv,
 )
-from conftest import INTRO_EDGES, complete_digraph, graph_of
+from netcycle import ledger
+from netcycle.circuits import component_adjacency, enumerate_graph
+from netcycle.scc import tarjan
+from conftest import INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of
 
 
 def inv(i, debtor, creditor, amount):
@@ -277,3 +281,143 @@ class TestSnapshot:
         b = text.index('"debtor": "B"')
         c = text.index('"debtor": "C"')
         assert a < b < c
+
+
+# Company ids that to_json must quote as json.dumps does: quotes,
+# backslashes, control characters, non-ASCII and astral characters. ",",
+# "\r" and "\n" are excluded because no graph may hold them.
+company_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\t\x0b\u2028 é€😀'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def debt_graphs(draw) -> DebtGraph:
+    """Graphs with isolated vertices, vertices without out-edges and
+    antiparallel pairs."""
+    names = draw(st.lists(company_ids, unique=True, max_size=8))
+    g = DebtGraph()
+    for v in names:
+        g.add_vertex(v)
+    if len(names) >= 2:
+        pairs = st.tuples(st.sampled_from(names), st.sampled_from(names), st.integers(1, 10**15))
+        for u, v, w in draw(st.lists(pairs, max_size=20)):
+            if u != v:
+                g.add_obligation(u, v, w)
+    return g
+
+
+def reference_json(g: DebtGraph) -> str:
+    payload = {
+        "vertices": sorted(g.vertices),
+        "edges": [
+            {"debtor": u, "creditor": v, "amount_minor": w}
+            for (u, v), w in sorted(g.edges())
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def rebuilt(g: DebtGraph) -> DebtGraph:
+    """A graph with g's contents, built from scratch."""
+    fresh = DebtGraph()
+    for v in g.vertices:
+        fresh.add_vertex(v)
+    for (u, v), w in g.edges():
+        fresh.add_obligation(u, v, w)
+    return fresh
+
+
+class TestGraphJson:
+    @settings(max_examples=150, deadline=None)
+    @given(debt_graphs())
+    @example(DebtGraph())
+    @example(graph_of([("A", "B", 1)]))
+    def test_matches_json_dumps_and_round_trips(self, g):
+        text = g.to_json()
+        assert text == reference_json(g)
+        assert DebtGraph.from_json(text) == g
+
+    def test_vertices_without_edges(self):
+        g = DebtGraph()
+        g.add_vertex("lonely")
+        assert g.to_json() == '{\n  "vertices": [\n    "lonely"\n  ],\n  "edges": []\n}\n'
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(company_ids, company_ids, st.integers(1, 10**12)), max_size=15))
+    def test_csv_to_graph_json_round_trip(self, rows):
+        invoices = [
+            Invoice(f"I{i}", u, v, w, date(2020, 1, 1)) for i, (u, v, w) in enumerate(rows) if u != v
+        ]
+        out = io.StringIO()
+        write_invoices_csv(out, invoices)
+        result = ingest_csv(io.StringIO(out.getvalue(), newline=""))
+        assert result.accepted == len(invoices)
+        assert result.graph == ingest(invoices).graph
+        text = result.graph.to_json()
+        assert DebtGraph.from_json(text) == result.graph
+        assert DebtGraph.from_json(text).to_json() == text
+
+
+class TestIndex:
+    """The sorted index is shared by to_json, tarjan and
+    component_adjacency, and never outlives the graph state it describes."""
+
+    def views(self, g: DebtGraph):
+        return g.to_json(), tarjan(g), component_adjacency(g, sorted(g.vertices))
+
+    def test_rows_ascending_in_id_order(self, overlap_graph):
+        index = overlap_graph.index()
+        assert index.verts == sorted(overlap_graph.vertices)
+        rows = {
+            v: [index.verts[j] for j in index.indices[index.indptr[i]:index.indptr[i + 1]]]
+            for i, v in enumerate(index.verts)
+        }
+        assert rows == {v: sorted(overlap_graph.successors(v)) for v in index.verts}
+
+    def test_cached_until_the_graph_changes(self, overlap_graph):
+        index = overlap_graph.index()
+        assert overlap_graph.index() is index
+        overlap_graph.add_obligation("A", "B", 1)
+        assert overlap_graph.index() is not index
+        assert overlap_graph.index() == index  # same vertices and edges
+
+    def test_settle_add_and_replace_are_seen(self, overlap_graph):
+        g = overlap_graph
+        self.views(g)
+        settle(g, ("A", "B", "C", "D"))  # removes four edges
+        assert self.views(g) == self.views(rebuilt(g))
+        g.add_obligation("E", "Z", 9)  # a new vertex and edge
+        assert self.views(g) == self.views(rebuilt(g))
+        other = graph_of(INTRO_EDGES)
+        g.replace_with(other)
+        assert self.views(g) == self.views(rebuilt(other))
+
+    def test_copy_never_carries_a_stale_index(self, overlap_graph):
+        before = overlap_graph.to_json()
+        twin = overlap_graph.copy()
+        overlap_graph.add_obligation("A", "Q", 5)
+        assert twin.to_json() == before
+        twin.add_obligation("Q", "A", 5)
+        assert self.views(twin) == self.views(rebuilt(twin))
+        assert overlap_graph.to_json() != twin.to_json()
+
+    def test_one_build_per_graph_state(self, monkeypatch):
+        builds = []
+        build = ledger._build_index
+
+        def counted(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(ledger, "_build_index", counted)
+        g = graph_of(OVERLAP_EDGES)
+        g.to_json()
+        partition = tarjan(g)
+        enumerate_graph(g, partition)
+        assert len(builds) == 1
