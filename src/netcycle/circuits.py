@@ -167,7 +167,13 @@ def search_from(
                 path.pop()
                 on_path.discard(w)
 
-    extend(s)
+    try:
+        extend(s)
+    finally:
+        # extend's closure holds extend itself; unbinding it breaks that
+        # reference cycle, so each start vertex frees its state at once
+        # instead of leaving garbage for the cyclic collector.
+        del extend
 
 
 def _search(

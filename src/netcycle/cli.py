@@ -188,7 +188,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         result = ingest_csv(fh, strict=not args.lenient)
     for reject in result.rejects:
         print(f"rejected {reject.locator}: {reject.reason}", file=sys.stderr)
-    _write_or_print(result.graph.to_json(), args.out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            result.graph.write_json(fh)
+    else:
+        result.graph.write_json(sys.stdout)
     print(
         f"ingested {result.accepted} invoices into "
         f"{len(result.graph.vertices)} companies / {result.graph.edge_count()} edges "

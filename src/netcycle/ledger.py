@@ -8,18 +8,27 @@ Each graph keeps one sorted CSR index (`DebtGraph.index`), built on first
 use and dropped by every mutation. The `graph.json` writer, Tarjan's SCC
 search and the per-component circuit indexes all read that one index, so
 the ids are sorted and numbered once per graph state.
+
+Both bulk readers, `ingest_csv` and `DebtGraph.from_json`, accept or
+explain: a record that passes one inline test, the conjunction of every
+check, goes straight into the graph; a record that fails it is handed to
+the per-record checks, which name the first failure with the same locator
+and message whichever path a record takes. `DebtGraph.write_json` streams
+`graph.json` one source row at a time, so no copy of the whole text is
+held in memory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from array import array
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 CompanyId = str
 
@@ -195,34 +204,44 @@ class DebtGraph:
 
     # -- serialization --------------------------------------------------
 
-    def to_json(self) -> str:
-        """Deterministic snapshot: sorted vertices, edges sorted by pair.
+    def write_json(self, fh: IO[str]) -> None:
+        """Write the deterministic snapshot to fh: sorted vertices, edges
+        sorted by pair.
 
         The text is exactly json.dumps(payload, indent=2) + "\\n" for
         {"vertices": [...], "edges": [{"debtor", "creditor",
-        "amount_minor"}, ...]}, but written row by row from the index,
-        with each id quoted once by the encoder json.dumps itself uses.
+        "amount_minor"}, ...]}, but written one source row at a time from
+        the index, with each id quoted once by the encoder json.dumps
+        itself uses.
         """
         index = self.index()
         verts, indptr, indices = index.verts, index.indptr, index.indices
         quoted = [encode_basestring_ascii(v) for v in verts]
-        edges: list[str] = []
+        write = fh.write
+        write('{\n  "vertices": ' + _json_list(quoted) + ',\n  "edges": ')
+        sep = "[\n    "
         for i, u in enumerate(verts):
             start, end = indptr[i], indptr[i + 1]
             if start == end:
                 continue
             row = self._adj[u]
             head = '{\n      "debtor": ' + quoted[i] + ',\n      "creditor": '
-            for j in indices[start:end]:
-                edges.append(f'{head}{quoted[j]},\n      "amount_minor": {row[verts[j]]}\n    }}')
-        return (
-            '{\n  "vertices": ' + _json_list(quoted)
-            + ',\n  "edges": ' + _json_list(edges) + "\n}\n"
-        )
+            write(sep + ",\n    ".join([
+                f'{head}{quoted[j]},\n      "amount_minor": {row[verts[j]]}\n    }}'
+                for j in indices[start:end]
+            ]))
+            sep = ",\n    "
+        write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+
+    def to_json(self) -> str:
+        """The write_json text as one string."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
     @classmethod
     def from_json(cls, text: str) -> "DebtGraph":
-        """Read a snapshot written by to_json. Anything that to_json could
+        """Read a snapshot written by write_json. Anything that it could
         not have written raises InvoiceError: text that is not JSON, missing
         keys, an id that is empty or holds a delimiter, a self-loop, an
         amount that is not a positive int, an edge to an unlisted vertex."""
@@ -236,24 +255,27 @@ class DebtGraph:
             raise InvoiceError("graph", "expected an object with 'vertices' and 'edges'") from None
         if not isinstance(vertices, list) or not isinstance(edges, list):
             raise InvoiceError("graph", "'vertices' and 'edges' must be lists")
+        if not _plain_ids(vertices):
+            for i, v in enumerate(vertices):
+                _check_company_id(v, f"vertices[{i}]")
         g = cls()
-        for i, v in enumerate(vertices):
-            _check_company_id(v, f"vertices[{i}]")
-            g.vertices.add(v)
+        g.vertices = known = set(vertices)
+        adj = g._adj
         for i, e in enumerate(edges):
-            locator = f"edges[{i}]"
             try:
                 u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
-            except (KeyError, TypeError):
-                raise InvoiceError(locator, "expected 'debtor', 'creditor' and 'amount_minor'") from None
-            for company in (u, v):
-                _check_company_id(company, locator)
-                if company not in g.vertices:
-                    raise InvoiceError(locator, f"company id {company!r} is not in 'vertices'")
-            if u == v:
-                raise InvoiceError(locator, "debtor equals creditor")
-            _check_amount(amount, locator)
-            g.add_obligation(u, v, amount)
+                # members of `known` passed _check_company_id above
+                ok = u in known and v in known and u != v and type(amount) is int and amount > 0
+            except (KeyError, TypeError):  # not an object, a key missing, an unhashable id
+                ok = False
+            if not ok:
+                _check_edge(e, known, f"edges[{i}]")
+                raise AssertionError(f"edges[{i}] passes _check_edge but not the inline test")
+            row = adj.get(u)
+            if row is None:
+                adj[u] = {v: amount}
+            else:
+                row[v] = row.get(v, 0) + amount
         return g
 
 
@@ -330,6 +352,31 @@ def _check_amount(amount: object, locator: str) -> None:
         raise InvoiceError(locator, f"amount must be a positive integer, got {amount!r}")
 
 
+def _plain_ids(ids: Sequence[object]) -> bool:
+    """Whether every item passes _check_company_id, tested over the whole
+    sequence at once."""
+    try:
+        joined = "".join(ids)
+    except TypeError:  # an item that is not a str
+        return False
+    return all(ids) and "," not in joined and "\r" not in joined and "\n" not in joined
+
+
+def _check_edge(e: object, vertices: set[CompanyId], locator: str) -> None:
+    """The checks of one graph.json edge, first failure first."""
+    try:
+        u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
+    except (KeyError, TypeError):
+        raise InvoiceError(locator, "expected 'debtor', 'creditor' and 'amount_minor'") from None
+    for company in (u, v):
+        _check_company_id(company, locator)
+        if company not in vertices:
+            raise InvoiceError(locator, f"company id {company!r} is not in 'vertices'")
+    if u == v:
+        raise InvoiceError(locator, "debtor equals creditor")
+    _check_amount(amount, locator)
+
+
 def _check_invoice(inv: Invoice, seen_ids: set[str], locator: str) -> None:
     if not inv.invoice_id:
         raise InvoiceError(locator, "missing invoice_id")
@@ -370,44 +417,54 @@ def ingest(records: Iterable[Invoice], *, strict: bool = True) -> IngestResult:
     return IngestResult(graph, accepted, rejects)
 
 
-def _parse_row(row: dict[str, str], locator: str) -> Invoice:
-    missing = [k for k in CSV_HEADER if row.get(k) in (None, "")]
+def _parse_row(fields: list[str], locator: str) -> Invoice:
+    if len(fields) > len(CSV_HEADER):
+        raise InvoiceError(locator, f"extra field(s): {len(fields)} fields, expected {len(CSV_HEADER)}")
+    padded = fields + [""] * (len(CSV_HEADER) - len(fields))
+    missing = [k for k, value in zip(CSV_HEADER, padded) if not value]
     if missing:
         raise InvoiceError(locator, f"missing field(s): {', '.join(missing)}")
-    raw_amount = row["amount_minor"]
+    invoice_id, debtor, creditor, raw_amount, raw_date = fields
     # int() would also take "1_000", " 7" and non-ASCII digits
     if not (raw_amount.isascii() and raw_amount.isdigit()):
         raise InvoiceError(locator, f"amount_minor is not ASCII digits: {raw_amount!r}")
-    amount = int(raw_amount)
     try:
-        issued = date.fromisoformat(row["issue_date"])
+        issued = date.fromisoformat(raw_date)
     except ValueError:
-        raise InvoiceError(locator, f"issue_date is not an ISO date: {row['issue_date']!r}")
-    return Invoice(row["invoice_id"], row["debtor"], row["creditor"], amount, issued)
+        raise InvoiceError(locator, f"issue_date is not an ISO date: {raw_date!r}")
+    return Invoice(invoice_id, debtor, creditor, int(raw_amount), issued)
 
 
-def read_invoices(stream: IO[str], *, strict: bool = True) -> Iterator[Invoice | RejectedRecord]:
-    """Parse the invoice CSV, yielding Invoices and (in lenient mode)
-    RejectedRecords for rows that do not parse.
+def _row_error(fields: list[str], line_num: int, seen_ids: set[str]) -> InvoiceError:
+    """Why a CSV row fails: the first failure of _parse_row (located by
+    line) or of _check_invoice (located by invoice id)."""
+    try:
+        inv = _parse_row(fields, f"line {line_num}")
+        _check_invoice(inv, seen_ids, f"invoice {inv.invoice_id!r}")
+    except InvoiceError as err:
+        return err
+    raise AssertionError(f"line {line_num} passes the per-row checks but not the inline test")
+
+
+def read_invoices(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """The CSV layer of ingest_csv: check the header, then yield
+    (line number, fields) for every row that is not blank, the fields as
+    the csv module splits them, unchecked.
 
     Expected header: invoice_id,debtor,creditor,amount_minor,issue_date
     Text the csv module cannot parse, or bytes that are not the stream's
-    encoding, fail the whole read, in either mode.
+    encoding, fail the whole read.
     """
-    reader = csv.DictReader(stream)
+    reader = csv.reader(stream)
     try:
-        if reader.fieldnames is None:
+        header = next(reader, None)
+        if header is None:
             return
-        if list(reader.fieldnames) != CSV_HEADER:
-            raise InvoiceError("line 1", f"bad header {reader.fieldnames!r}, expected {CSV_HEADER!r}")
-        for row in reader:
-            locator = f"line {reader.line_num}"
-            try:
-                yield _parse_row(row, locator)
-            except InvoiceError as err:
-                if strict:
-                    raise
-                yield RejectedRecord(err.locator, err.reason)
+        if header != CSV_HEADER:
+            raise InvoiceError("line 1", f"bad header {header!r}, expected {CSV_HEADER!r}")
+        for fields in reader:
+            if fields:
+                yield reader.line_num, fields
     except csv.Error as err:
         raise InvoiceError(f"line {reader.line_num}", f"malformed CSV: {err}") from None
     except UnicodeDecodeError as err:
@@ -416,29 +473,49 @@ def read_invoices(stream: IO[str], *, strict: bool = True) -> Iterator[Invoice |
 
 
 def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
-    """Read and aggregate an invoice CSV in one pass.
+    """Read, validate and aggregate an invoice CSV in one pass.
 
-    Parse failures and validation failures are reported with a line
-    locator; semantic validation (duplicate ids etc.) happens per record.
+    A row is accepted if it has the five header fields, none empty, an
+    amount of ASCII digits above zero, an ISO issue date, an invoice id
+    not accepted before, and two different company ids free of ',', '\\r'
+    and '\\n'. Rows that fail are explained by _parse_row, with a line
+    locator, or by _check_invoice, with an invoice locator: strict mode
+    raises the first, lenient mode collects them all. A failure of the
+    CSV layer (read_invoices) ends the read in either mode.
     """
     graph = DebtGraph()
+    vertices, adj = graph.vertices, graph._adj
     rejects: list[RejectedRecord] = []
     seen_ids: set[str] = set()
     accepted = 0
-    for item in read_invoices(stream, strict=strict):
-        if isinstance(item, RejectedRecord):
-            rejects.append(item)
-            continue
-        locator = f"invoice {item.invoice_id!r}"
+    for line_num, fields in read_invoices(stream):
         try:
-            _check_invoice(item, seen_ids, locator)
-        except InvoiceError as err:
+            invoice_id, debtor, creditor, raw_amount, raw_date = fields
+            date.fromisoformat(raw_date)
+        except ValueError:  # a short or long row, or a bad date
+            ok = False
+        else:
+            ok = (
+                invoice_id and invoice_id not in seen_ids
+                and raw_amount.isascii() and raw_amount.isdigit() and (amount := int(raw_amount)) > 0
+                and debtor != creditor
+                # the ids in `vertices` passed _plain_ids when they were added
+                and ((debtor in vertices and creditor in vertices) or _plain_ids((debtor, creditor)))
+            )
+        if not ok:
+            err = _row_error(fields, line_num, seen_ids)
             if strict:
-                raise
+                raise err
             rejects.append(RejectedRecord(err.locator, err.reason))
             continue
-        seen_ids.add(item.invoice_id)
-        graph.add_obligation(item.debtor, item.creditor, item.amount)
+        seen_ids.add(invoice_id)
+        vertices.add(debtor)
+        vertices.add(creditor)
+        row = adj.get(debtor)
+        if row is None:
+            adj[debtor] = {creditor: amount}
+        else:
+            row[creditor] = row.get(creditor, 0) + amount
         accepted += 1
     return IngestResult(graph, accepted, rejects)
 

@@ -223,7 +223,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     with open(cfg.input, encoding="utf-8", newline="") as fh:
         result: IngestResult = ingest_csv(fh, strict=cfg.strict)
     graph = result.graph
-    (out / "graph.json").write_text(graph.to_json(), encoding="utf-8")
+    with open(out / "graph.json", "w", encoding="utf-8") as fh:
+        graph.write_json(fh)
     timings["ingest"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 
@@ -14,7 +15,7 @@ from netcycle import (
     merge_circuits,
     tarjan,
 )
-from netcycle.circuits import _Budget, component_adjacency, distances_to, search_from
+from netcycle.circuits import _Budget, _search, component_adjacency, distances_to, search_from
 from netcycle.ledger import circuit_edges
 from netcycle.oracle import circuits_by_dfs
 
@@ -231,3 +232,23 @@ class TestStartSearch:
         assert distances_to(a, index.pred, 1) == {a: 0, b: 1, d: 1}
         # only vertices above the start count: A is below B
         assert distances_to(b, index.pred, 4) == {b: 0, c: 1, d: 2, e: 3}
+
+
+@pytest.mark.parametrize("max_circuits", [None, 3], ids=["complete", "truncated"])
+def test_search_leaves_no_cyclic_garbage(max_circuits):
+    """Each start vertex's search state is freed by reference counting, so
+    a long search does not drive the cyclic collector."""
+    g = complete_digraph(6)
+    index = component_adjacency(g, g.vertices)
+    cfg = EnumerationConfig(max_len=4, max_circuits=max_circuits)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        circuits, reason = _search(index, cfg)
+        found = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert circuits and reason == ("max_circuits" if max_circuits else None)
+    assert found == 0

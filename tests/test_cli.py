@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from netcycle import generate_synthetic, write_invoices_csv
 from netcycle.cli import main
 
 from test_pipeline import INTRO_CSV, OVERLAP_CSV, strip_timings
@@ -32,23 +33,34 @@ def test_run_reports_grand_total(tmp_path, overlap_csv, capsys):
 
 
 def test_stage_by_stage_matches_run(tmp_path, overlap_csv):
-    out = tmp_path / "stages"
-    out.mkdir()
-    assert main(["ingest", "--input", str(overlap_csv), "--out", str(out / "graph.json")]) == 0
-    assert main(["scc", "--graph", str(out / "graph.json"), "--out", str(out / "scc_sizes.csv")]) == 0
-    assert main([
-        "circuits", "--graph", str(out / "graph.json"),
-        "--out", str(out / "circuits.txt"), "--json", str(out / "circuits.json"),
-    ]) == 0
-    assert main([
-        "plan", "--graph", str(out / "graph.json"),
-        "--circuits", str(out / "circuits.json"), "--out", str(out / "plans.json"),
-    ]) == 0
+    generated = tmp_path / "generated.csv"
+    with generated.open("w", encoding="utf-8", newline="") as fh:
+        write_invoices_csv(fh, generate_synthetic(300, 900, seed=11))
+    for name, csv_path in (("overlap", overlap_csv), ("generated", generated)):
+        out = tmp_path / name / "stages"
+        out.mkdir(parents=True)
+        assert main(["ingest", "--input", str(csv_path), "--out", str(out / "graph.json")]) == 0
+        assert main(["scc", "--graph", str(out / "graph.json"), "--out", str(out / "scc_sizes.csv")]) == 0
+        assert main([
+            "circuits", "--graph", str(out / "graph.json"),
+            "--out", str(out / "circuits.txt"), "--json", str(out / "circuits.json"),
+        ]) == 0
+        assert main([
+            "plan", "--graph", str(out / "graph.json"),
+            "--circuits", str(out / "circuits.json"), "--out", str(out / "plans.json"),
+        ]) == 0
 
-    assert main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "full")]) == 0
-    full = strip_timings(tmp_path / "full")
-    for name in ("graph.json", "scc_sizes.csv", "circuits.txt", "circuits.json", "plans.json"):
-        assert (out / name).read_bytes() == full[name]
+        assert main(["run", "--input", str(csv_path), "--out-dir", str(tmp_path / name / "full")]) == 0
+        full = strip_timings(tmp_path / name / "full")
+        for artifact in ("graph.json", "scc_sizes.csv", "circuits.txt", "circuits.json", "plans.json"):
+            assert (out / artifact).read_bytes() == full[artifact], (name, artifact)
+
+
+def test_ingest_to_stdout_matches_out_file(tmp_path, overlap_csv, capsys):
+    assert main(["ingest", "--input", str(overlap_csv), "--out", str(tmp_path / "graph.json")]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(overlap_csv)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "graph.json").read_text(encoding="utf-8")
 
 
 def test_plan_accepts_plain_circuit_lines(tmp_path, overlap_csv):
@@ -103,6 +115,19 @@ def test_company_id_with_comma_is_input_error(tmp_path, capsys):
     assert main(["run", "--input", str(bad), "--out-dir", str(tmp_path / "l"), "--lenient"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["rejected_records"] == 2
+
+
+def test_row_with_extra_field_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "extra.csv"
+    bad.write_text(INTRO_CSV + "I9,A,B,5,2020-01-01,EXTRA\n", encoding="utf-8")
+    out = tmp_path / "g.json"
+    assert main(["ingest", "--input", str(bad), "--out", str(out)]) == 2
+    assert "line 5: extra field(s)" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ingest", "--input", str(bad), "--out", str(out), "--lenient"]) == 0
+    err = capsys.readouterr().err
+    assert "rejected line 5: extra field(s): 6 fields, expected 5" in err
+    assert "ingested 3 invoices" in err and "(1 rejected)" in err
 
 
 def _graph_text(vertices, edges) -> str:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
+import re
 from datetime import date
 from fractions import Fraction
 
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 from netcycle import (
     DebtGraph,
     DensityUndefinedError,
+    IngestResult,
     Invoice,
     InvoiceError,
+    RejectedRecord,
     StaleCircuitError,
     circuit_value,
     density,
@@ -183,6 +187,135 @@ class TestCsv:
         assert result.accepted == 0
         assert result.graph.vertices == set()
 
+    def test_extra_field_is_rejected(self):
+        text = self.CSV + "I4,A,B,5,2020-01-01,EXTRA\n"
+        with pytest.raises(InvoiceError, match="extra field") as exc:
+            ingest_csv(io.StringIO(text))
+        assert exc.value.locator == "line 5"
+        result = ingest_csv(io.StringIO(text), strict=False)
+        assert result.accepted == 3
+        assert result.rejects == [RejectedRecord("line 5", "extra field(s): 6 fields, expected 5")]
+        assert result.graph.weight("A", "B") == 3_200_000
+
+    def test_short_row_names_missing_fields(self):
+        result = ingest_csv(io.StringIO(self.CSV + "I4,A\n"), strict=False)
+        assert result.rejects == [
+            RejectedRecord("line 5", "missing field(s): creditor, amount_minor, issue_date")
+        ]
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        text = self.CSV.replace("\nI2", "\n\n\nI2") + "I4,D,D,5,2019-04-01\nI5,A\n"
+        result = ingest_csv(io.StringIO(text), strict=False)
+        assert result.accepted == 3
+        assert [r.locator for r in result.rejects] == ["invoice 'I4'", "line 8"]
+
+    def test_read_invoices_yields_line_numbers_and_raw_fields(self):
+        text = self.CSV.replace("\nI2", "\n\nI2") + 'I4,"X\nY",B,ten\n'
+        rows = list(ledger.read_invoices(io.StringIO(text, newline="")))
+        assert [n for n, _ in rows] == [2, 4, 5, 7]
+        assert rows[-1][1] == ["I4", "X\nY", "B", "ten"]
+
+
+def _reference_parse_row(row: dict, locator: str) -> Invoice:
+    """The per-row parse before row-inline ingest, over a DictReader row,
+    plus the extra-field rule (DictReader files extra fields under None)."""
+    if None in row:
+        n = len(ledger.CSV_HEADER)
+        raise InvoiceError(locator, f"extra field(s): {n + len(row[None])} fields, expected {n}")
+    missing = [k for k in ledger.CSV_HEADER if row.get(k) in (None, "")]
+    if missing:
+        raise InvoiceError(locator, f"missing field(s): {', '.join(missing)}")
+    raw_amount = row["amount_minor"]
+    if not (raw_amount.isascii() and raw_amount.isdigit()):
+        raise InvoiceError(locator, f"amount_minor is not ASCII digits: {raw_amount!r}")
+    try:
+        issued = date.fromisoformat(row["issue_date"])
+    except ValueError:
+        raise InvoiceError(locator, f"issue_date is not an ISO date: {row['issue_date']!r}")
+    return Invoice(row["invoice_id"], row["debtor"], row["creditor"], int(raw_amount), issued)
+
+
+def reference_ingest_csv(text: str, strict: bool) -> IngestResult:
+    """The ingest loop before row-inline ingest: DictReader, the dict
+    parse, then _check_invoice and add_obligation per row."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    assert reader.fieldnames == ledger.CSV_HEADER
+    graph, rejects, seen_ids, accepted = DebtGraph(), [], set(), 0
+    for row in reader:
+        try:
+            item = _reference_parse_row(row, f"line {reader.line_num}")
+            ledger._check_invoice(item, seen_ids, f"invoice {item.invoice_id!r}")
+        except InvoiceError as err:
+            if strict:
+                raise
+            rejects.append(RejectedRecord(err.locator, err.reason))
+            continue
+        seen_ids.add(item.invoice_id)
+        graph.add_obligation(item.debtor, item.creditor, item.amount)
+        accepted += 1
+    return IngestResult(graph, accepted, rejects)
+
+
+# CSV rows: blank lines, five-field rows with each field drawn half the
+# time from values that pass and half from values that fail one check, and
+# rows of one to seven fields of any kind.
+invoice_ids = st.sampled_from(["I1", "I2", "I3", ""])
+row_companies = st.one_of(
+    st.sampled_from(["A", "B", "C ", "é"]), st.sampled_from(["", "A,B", "X\nY", "X\rY"])
+)
+row_amounts = st.one_of(
+    st.sampled_from(["5", "017"]),
+    st.sampled_from(["0", "00", "\u0663", "+5", "1_000", " 7", "-5", ""]),
+)
+row_dates = st.one_of(
+    st.just("2020-01-01"), st.sampled_from(["2020-02-30", "yesterday", "2020-1-1", ""])
+)
+csv_rows = st.one_of(
+    st.none(),
+    st.tuples(invoice_ids, row_companies, row_companies, row_amounts, row_dates).map(list),
+    st.lists(st.one_of(invoice_ids, row_companies, row_amounts, row_dates), min_size=1, max_size=7),
+)
+
+
+def csv_text(rows) -> str:
+    out = io.StringIO()
+    # with "\r\n" line ends, csv.writer quotes an id holding either character
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(ledger.CSV_HEADER)
+    for row in rows:
+        if row is None:
+            out.write("\r\n")
+        else:
+            writer.writerow(row)
+    return out.getvalue()
+
+
+def outcome(text: str, strict: bool, ingest_fn):
+    try:
+        result = ingest_fn(text, strict)
+    except InvoiceError as err:
+        return ("error", err.locator, err.reason)
+    return (result.graph, result.accepted, result.rejects)
+
+
+class TestRowInlineIngest:
+    """ingest_csv's inline accept test agrees with the per-row checks:
+    same graph, same count, same rejects, same strict-mode error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(csv_rows, max_size=12))
+    @example([["I1", "A", "B", "5", "2020-01-01"], ["I1", "B", "C", "5", "2020-01-01"]])
+    @example([["I1", "A", "B", "5", "2020-01-01", "EXTRA"], None, ["I2", "A,B", "C", "5", "2020-01-01"]])
+    @example([["I1", "A", "A", "00", "2020-01-01"], ["I2", "A", "B", "\u0663", "2020-01-01"]])
+    @example([["I1", "X\nY", "B", "5", "2020-01-01"], ["I2", "A", "B"], ["", "A", "B", "5", "2020-01-01"]])
+    @example([["I1", "B", "X\rY", "5", "2020-01-01"], ["I2", "B", "X\nY", "5", "2020-01-01"]])
+    def test_matches_reference_loop(self, rows):
+        text = csv_text(rows)
+        for strict in (True, False):
+            expected = outcome(text, strict, reference_ingest_csv)
+            got = outcome(text, strict, lambda t, s: ingest_csv(io.StringIO(t, newline=""), strict=s))
+            assert got == expected
+
 
 class TestDensity:
     def test_three_vertices_three_edges(self, intro_graph):
@@ -348,6 +481,20 @@ class TestGraphJson:
         g.add_vertex("lonely")
         assert g.to_json() == '{\n  "vertices": [\n    "lonely"\n  ],\n  "edges": []\n}\n'
 
+    def test_write_json_writes_one_source_row_at_a_time(self, overlap_graph):
+        chunks: list[str] = []
+
+        class Recorder:
+            def write(self, text: str) -> None:
+                chunks.append(text)
+
+        overlap_graph.write_json(Recorder())
+        assert "".join(chunks) == overlap_graph.to_json()
+        rows_with_edges = sum(1 for v in overlap_graph.vertices if overlap_graph.successors(v))
+        assert len(chunks) == rows_with_edges + 2
+        for chunk in chunks[1:-1]:
+            assert len(set(re.findall(r'"debtor": ("[^"]*")', chunk))) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(company_ids, company_ids, st.integers(1, 10**12)), max_size=15))
     def test_csv_to_graph_json_round_trip(self, rows):
@@ -362,6 +509,69 @@ class TestGraphJson:
         text = result.graph.to_json()
         assert DebtGraph.from_json(text) == result.graph
         assert DebtGraph.from_json(text).to_json() == text
+
+
+def reference_from_json(text: str) -> DebtGraph:
+    """from_json before the bulk load: every check and add_obligation
+    per edge."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InvoiceError("graph", f"not valid JSON: {err}") from None
+    try:
+        vertices, edges = payload["vertices"], payload["edges"]
+    except (KeyError, TypeError):
+        raise InvoiceError("graph", "expected an object with 'vertices' and 'edges'") from None
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise InvoiceError("graph", "'vertices' and 'edges' must be lists")
+    g = DebtGraph()
+    for i, v in enumerate(vertices):
+        ledger._check_company_id(v, f"vertices[{i}]")
+        g.vertices.add(v)
+    for i, e in enumerate(edges):
+        locator = f"edges[{i}]"
+        try:
+            u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
+        except (KeyError, TypeError):
+            raise InvoiceError(locator, "expected 'debtor', 'creditor' and 'amount_minor'") from None
+        for company in (u, v):
+            ledger._check_company_id(company, locator)
+            if company not in g.vertices:
+                raise InvoiceError(locator, f"company id {company!r} is not in 'vertices'")
+        if u == v:
+            raise InvoiceError(locator, "debtor equals creditor")
+        ledger._check_amount(amount, locator)
+        g.add_obligation(u, v, amount)
+    return g
+
+
+json_ids = st.sampled_from(["A", "B", "C", "", "A,B", "X\nY", "X\rY", 1, None, ["A"]])
+json_edges = st.one_of(
+    st.fixed_dictionaries({
+        "debtor": json_ids,
+        "creditor": json_ids,
+        "amount_minor": st.sampled_from([1, 5, 0, -5, True, 5.0, "5", 10**20]),
+    }),
+    st.sampled_from([["A", "B", 5], "A", 5, None, {"debtor": "A", "creditor": "B"}]),
+)
+
+
+class TestGraphJsonLoad:
+    """from_json's bulk load agrees with the per-edge checks: the same
+    graph, or the same first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(json_ids, max_size=5), st.lists(json_edges, max_size=6))
+    @example(["A", "B"], [{"debtor": "A", "creditor": "B", "amount_minor": 2}] * 2)
+    def test_matches_reference_loop(self, vertices, edges):
+        text = json.dumps({"vertices": vertices, "edges": edges})
+        results = []
+        for load in (reference_from_json, DebtGraph.from_json):
+            try:
+                results.append(load(text))
+            except InvoiceError as err:
+                results.append((err.locator, err.reason))
+        assert results[1] == results[0]
 
 
 class TestIndex:
