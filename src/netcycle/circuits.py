@@ -222,7 +222,7 @@ def enumerate_graph(
     cfg = cfg or EnumerationConfig()
     jobs = [
         (partition.component_of[comp[0]], comp)
-        for comp in nontrivial_components(partition, g)
+        for comp in nontrivial_components(partition)
     ]
 
     def run(job: tuple[int, list[CompanyId]]) -> ComponentCircuits:

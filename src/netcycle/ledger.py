@@ -183,12 +183,6 @@ class DebtGraph:
         g._adj = {u: dict(row) for u, row in self._adj.items()}
         return g
 
-    def replace_with(self, other: "DebtGraph") -> None:
-        """Adopt another graph's contents in place."""
-        self.vertices = other.vertices
-        self._adj = other._adj
-        self._index = None
-
     def _decrease(self, u: CompanyId, v: CompanyId, amount: int) -> None:
         self._index = None
         row = self._adj[u]

@@ -215,6 +215,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     write plans when enumeration was truncated (TruncatedInStrictMode).
     """
     engine = resolve_engine(cfg.engine)
+    opt_cfg = cfg.optimizer()  # a bad mode or threshold fails before anything is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -248,7 +249,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     t3 = time.perf_counter()
     plans = plan_per_scc(
-        graph, partition, enum_cfg, cfg.optimizer(), engine,
+        graph, partition, enum_cfg, opt_cfg, engine,
         cfg.parallelism, per_component=per_component,
     )
     (out / "plans.json").write_text(plans_json(plans), encoding="utf-8")

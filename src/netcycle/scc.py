@@ -86,7 +86,7 @@ def tarjan(g: DebtGraph) -> SccPartition:
     return SccPartition(components, component_of)
 
 
-def nontrivial_components(p: SccPartition, g: DebtGraph) -> list[list[CompanyId]]:
+def nontrivial_components(p: SccPartition) -> list[list[CompanyId]]:
     """Components that can host a circuit: two or more vertices. The debt
     graph has no self-loops, so singletons never do."""
     return [c for c in p.components if len(c) >= 2]

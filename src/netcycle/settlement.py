@@ -6,59 +6,61 @@ best order by a memoized search for the best suffix from each settlement
 state (the remaining edge weights); the greedy mode takes the largest
 immediate gain each step. Totals count the per-edge settled amount times
 the circuit length.
+
+All paths settle on `_slots`, one table of the circuits' edge weights, so
+the graph is written only by `replay`, once the whole plan checks out.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, resolve_engine
-from .ledger import (
-    Circuit,
-    CompanyId,
-    DebtGraph,
-    circuit_edges,
-    circuit_value,
-    settle,
-)
+from .ledger import Circuit, CompanyId, DebtGraph, circuit_edges, settle
 from .scc import SccPartition
+
+EXACT_HARD_CAP = 12  # exact mode's search grows exponentially with the circuit count
 
 
 class StalePlanError(RuntimeError):
-    """A recorded step no longer matches the graph. `step_index` names it."""
+    """A recorded step cannot be applied as recorded. `step_index` names it."""
 
-    def __init__(self, step_index: int, expected: int, actual: int):
-        super().__init__(
-            f"step {step_index}: recorded per-edge amount {expected} "
-            f"but the circuit is now worth {actual}"
-        )
+    def __init__(self, step_index: int, reason: str):
+        super().__init__(f"step {step_index}: {reason}")
         self.step_index = step_index
 
 
 class ExactSearchRefused(RuntimeError):
-    """Exact mode was asked to search more circuits than the hard cap."""
+    """Exact mode was asked to search more circuits than EXACT_HARD_CAP."""
+
+
+class _BadCircuit(ValueError):
+    """An empty circuit, or one using an edge twice; `position` is its index."""
+
+    def __init__(self, position: int, circuit: Circuit):
+        super().__init__(f"circuit {list(circuit)} {'uses an edge twice' if circuit else 'is empty'}")
+        self.position = position
 
 
 @dataclass
 class OptimizerConfig:
     """mode: exact, greedy, or auto (exact up to exact_threshold circuits).
-    Exact mode refuses outright above exact_hard_cap. tie_break picks among
-    equal-total plans: 'balanced' prefers value spread across steps, then
-    the smallest circuit sequence; 'canonical' takes the smallest circuit
-    sequence."""
+    Exact mode refuses outright above EXACT_HARD_CAP, so exact_threshold is
+    1..EXACT_HARD_CAP. tie_break picks among equal-total plans: 'balanced'
+    prefers value spread across steps, then the smallest circuit sequence;
+    'canonical' takes the smallest circuit sequence."""
 
     mode: str = "auto"
     exact_threshold: int = 10
-    exact_hard_cap: int = 12
     tie_break: str = "balanced"
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "greedy", "auto"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.exact_threshold < 1:
-            raise ValueError("exact_threshold must be >= 1")
+        if not 1 <= self.exact_threshold <= EXACT_HARD_CAP:
+            raise ValueError(f"exact_threshold must be in 1..{EXACT_HARD_CAP}")
         if self.tie_break not in ("balanced", "canonical"):
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
@@ -95,8 +97,32 @@ class SettlementPlan:
         }
 
 
+def _slots(g: DebtGraph, circuits: list[Circuit]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """One slot per distinct circuit edge, `w` holding its weight in g (0 if
+    absent), and each circuit as the tuple of its edges' slots. An empty
+    circuit, or one that uses an edge twice, raises ValueError."""
+    slot: dict[tuple[CompanyId, CompanyId], int] = {}  # in slot order
+    edges: list[tuple[int, ...]] = []
+    for position, c in enumerate(circuits):
+        ids = tuple([slot.setdefault(e, len(slot)) for e in circuit_edges(c)])
+        if not ids or len(set(ids)) < len(ids):
+            raise _BadCircuit(position, c)
+        edges.append(ids)
+    return [g.weight(u, v) for u, v in slot], edges
+
+
+def _in_order(w: list[int], edges: list[tuple[int, ...]]) -> Iterator[int]:
+    """Settle each circuit of a `_slots` table in turn, yielding what it
+    settles per edge: its value at its turn, 0 when it is skipped."""
+    for ids in edges:
+        x = min([w[e] for e in ids])
+        for e in ids:
+            w[e] -= x
+        yield x
+
+
 def _exact_order(
-    g: DebtGraph, circuits: list[Circuit], cfg: OptimizerConfig
+    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit], cfg: OptimizerConfig
 ) -> tuple[list[PlanStep], int, list[Circuit]]:
     """Best settlement order by a memoized search for the best suffix from
     each settlement state.
@@ -115,19 +141,10 @@ def _exact_order(
     in ascending order. Both keys compose with a fixed prefix, so the best
     suffix from every state yields the best order overall.
     """
-    order = sorted(circuits)
-    slot: dict[tuple[CompanyId, CompanyId], int] = {}
-    w: list[int] = []
-    users: list[int] = []  # per edge: bitmask of the circuits through it
-    edges: list[tuple[int, ...]] = []
-    for i, c in enumerate(order):
-        for e in circuit_edges(c):
-            if e not in slot:
-                slot[e] = len(w)
-                w.append(g.weight(*e))
-                users.append(0)
-            users[slot[e]] |= 1 << i
-        edges.append(tuple(slot[e] for e in circuit_edges(c)))
+    users = [0] * len(w)  # per slot: bitmask of the circuits through it
+    for i, ids in enumerate(edges):
+        for e in ids:
+            users[e] |= 1 << i
     k = [len(c) for c in order]
     balanced = cfg.tie_break == "balanced"
     # state -> (total, sorted amounts if balanced, ((circuit index, per_edge), ...))
@@ -166,35 +183,33 @@ def _exact_order(
 
 
 def _greedy_order(
-    g: DebtGraph, circuits: list[Circuit]
+    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit]
 ) -> tuple[list[PlanStep], int, list[Circuit]]:
     """Settle the largest current gain first. A lazy heap works because a
     circuit's value never increases as others settle: a fresh top entry is
-    the true maximum. Ties fall to the smaller canonical circuit."""
-    order = sorted(circuits)
-    heap = []
-    for c in order:
-        x = circuit_value(g, c)
-        heap.append((-x * len(c), c))
+    the true maximum. Ties fall to the smaller canonical circuit: `order`
+    is sorted, and heap entries carry the index into it."""
+    heap = [(-min([w[e] for e in ids]) * len(c), i) for i, (c, ids) in enumerate(zip(order, edges))]
     heapq.heapify(heap)
     steps: list[PlanStep] = []
-    skipped: list[Circuit] = []
+    skipped: list[int] = []
     total = 0
     while heap:
-        neg_amount, c = heapq.heappop(heap)
-        x = circuit_value(g, c)
+        neg_amount, i = heapq.heappop(heap)
+        ids = edges[i]
+        x = min([w[e] for e in ids])
         if x == 0:
-            skipped.append(c)
+            skipped.append(i)
             continue
-        amount = x * len(c)
+        amount = x * len(order[i])
         if amount != -neg_amount:
-            heapq.heappush(heap, (-amount, c))
+            heapq.heappush(heap, (-amount, i))
             continue
-        settle(g, c)
-        steps.append(PlanStep(c, x, amount))
+        for e in ids:
+            w[e] -= x
+        steps.append(PlanStep(order[i], x, amount))
         total += amount
-    skipped.sort()
-    return steps, total, skipped
+    return steps, total, [order[i] for i in sorted(skipped)]
 
 
 def optimize_order(
@@ -204,69 +219,58 @@ def optimize_order(
 ) -> SettlementPlan:
     """Best settlement order for `circuits` against the weights of g.
 
-    The input graph is never mutated: exact mode only reads g's weights,
-    and greedy settles on a scratch graph of the circuits' own edges.
-    Exact mode maximizes the replay total over all orders; greedy
-    maximizes each immediate step; auto picks exact for small circuit sets
-    and greedy beyond cfg.exact_threshold.
+    Both modes settle on the `_slots` table of the sorted circuits, so g
+    is only read. Exact mode maximizes the replay total over all orders;
+    greedy maximizes each immediate step; auto picks exact for small circuit
+    sets and greedy beyond cfg.exact_threshold.
     """
     cfg = cfg or OptimizerConfig()
-    circuits = list(circuits)
+    order = sorted(circuits)
     mode = cfg.mode
     if mode == "auto":
-        mode = "exact" if len(circuits) <= cfg.exact_threshold else "greedy"
-    if mode == "exact" and len(circuits) > cfg.exact_hard_cap:
+        mode = "exact" if len(order) <= cfg.exact_threshold else "greedy"
+    if mode == "exact" and len(order) > EXACT_HARD_CAP:
         raise ExactSearchRefused(
-            f"{len(circuits)} circuits exceeds the exact-mode cap of "
-            f"{cfg.exact_hard_cap}; use greedy mode"
+            f"{len(order)} circuits exceeds the exact-mode cap of "
+            f"{EXACT_HARD_CAP}; use greedy mode"
         )
+    w, edges = _slots(g, order)
     if mode == "exact":
-        steps, total, skipped = _exact_order(g, circuits, cfg)
+        steps, total, skipped = _exact_order(w, edges, order, cfg)
     else:
-        # Only the circuits' own edges matter to greedy; a scratch graph of
-        # just those edges keeps per-component cost independent of |E|.
-        scratch = DebtGraph()
-        for c in circuits:
-            for u, v in circuit_edges(c):
-                if scratch.weight(u, v) == 0:
-                    w = g.weight(u, v)
-                    if w > 0:
-                        scratch.add_obligation(u, v, w)
-        steps, total, skipped = _greedy_order(scratch, circuits)
+        steps, total, skipped = _greedy_order(w, edges, order)
     return SettlementPlan(steps=steps, total=total, skipped=skipped, mode=mode)
 
 
 def plan_for_order(g: DebtGraph, circuits: Iterable[Circuit]) -> SettlementPlan:
-    """Plan obtained by settling `circuits` in exactly the given order on a
-    scratch copy, skipping any that are worth zero at their turn."""
-    scratch = g.copy()
-    steps: list[PlanStep] = []
-    skipped: list[Circuit] = []
-    total = 0
-    for c in circuits:
-        x = circuit_value(scratch, c)
-        if x == 0:
-            skipped.append(c)
-            continue
-        settle(scratch, c)
-        steps.append(PlanStep(c, x, x * len(c)))
-        total += x * len(c)
-    return SettlementPlan(steps=steps, total=total, skipped=skipped, mode="forced")
+    """Plan obtained by settling `circuits` in exactly the given order on
+    their `_slots` table, skipping any that are worth zero at their turn."""
+    circuits = list(circuits)
+    settled = list(_in_order(*_slots(g, circuits)))
+    steps = [PlanStep(c, x, x * len(c)) for c, x in zip(circuits, settled) if x]
+    skipped = [c for c, x in zip(circuits, settled) if not x]
+    return SettlementPlan(steps=steps, total=sum(s.amount for s in steps), skipped=skipped, mode="forced")
 
 
 def replay(g: DebtGraph, plan: SettlementPlan) -> DebtGraph:
     """Apply a plan to the live graph, verifying every recorded amount.
 
-    On any mismatch the graph is restored to its input state and a
-    StalePlanError names the failing step.
+    A step whose circuit is empty or uses an edge twice, else the first
+    step whose recorded amount is not positive or not its value at its turn
+    on the `_slots` table, raises StalePlanError naming it; g is untouched.
     """
-    snapshot = g.copy()
-    for idx, step in enumerate(plan.steps):
-        actual = circuit_value(g, step.circuit)
-        if actual != step.per_edge:
-            g.replace_with(snapshot)
-            raise StalePlanError(idx, step.per_edge, actual)
-        settle(g, step.circuit)
+    circuits = [step.circuit for step in plan.steps]
+    try:
+        w, edges = _slots(g, circuits)
+    except _BadCircuit as err:
+        raise StalePlanError(err.position, str(err)) from None
+    for idx, (step, x) in enumerate(zip(plan.steps, _in_order(w, edges))):
+        if step.per_edge <= 0:
+            raise StalePlanError(idx, f"recorded {step.per_edge} per edge, which is not positive")
+        if x != step.per_edge:
+            raise StalePlanError(idx, f"recorded {step.per_edge} per edge, but the circuit is now worth {x}")
+    for c in circuits:
+        settle(g, c)
     return g
 
 

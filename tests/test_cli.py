@@ -269,6 +269,7 @@ def test_malformed_report_json_is_input_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("flag, value", [
     ("--max-len", "1"),
     ("--exact-threshold", "0"),
+    ("--exact-threshold", "13"),
     ("--max-circuits", "0"),
     ("--time-budget", "0"),
     ("--time-budget", "nan"),
@@ -288,6 +289,32 @@ def test_out_of_range_env_value_is_usage_error(tmp_path, overlap_csv, capsys, mo
         main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "--max-len" in capsys.readouterr().err
+
+
+def test_exact_threshold_above_cap_from_env_is_usage_error(tmp_path, overlap_csv, capsys, monkeypatch):
+    monkeypatch.setenv("NETCYCLE_RUN_EXACT_THRESHOLD", "40")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--exact-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_exact_refusal_is_input_error(tmp_path, capsys):
+    # the complete digraph on four companies holds 20 circuits, above the cap of 12
+    csv_path = tmp_path / "k4.csv"
+    pairs = [(u, v) for u in "ABCD" for v in "ABCD" if u != v]
+    csv_path.write_text("invoice_id,debtor,creditor,amount_minor,issue_date\n" + "".join(
+        f"I{i},{u},{v},5,2019-01-01\n" for i, (u, v) in enumerate(pairs)
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(csv_path), "--out-dir", str(out), "--mode", "exact"]) == 2
+    assert "input error: 20 circuits exceeds the exact-mode cap of 12" in capsys.readouterr().err
+    assert main([
+        "plan", "--graph", str(out / "graph.json"), "--circuits", str(out / "circuits.json"),
+        "--mode", "exact",
+    ]) == 2
+    assert "exact-mode cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

@@ -604,9 +604,6 @@ class TestIndex:
         assert self.views(g) == self.views(rebuilt(g))
         g.add_obligation("E", "Z", 9)  # a new vertex and edge
         assert self.views(g) == self.views(rebuilt(g))
-        other = graph_of(INTRO_EDGES)
-        g.replace_with(other)
-        assert self.views(g) == self.views(rebuilt(other))
 
     def test_copy_never_carries_a_stale_index(self, overlap_graph):
         before = overlap_graph.to_json()

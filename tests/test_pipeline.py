@@ -79,6 +79,13 @@ def test_strict_truncation_blocks_plans(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_bad_optimizer_settings_fail_before_any_write(tmp_path):
+    cfg = PipelineConfig(write_csv(tmp_path, OVERLAP_CSV), tmp_path / "out", exact_threshold=13)
+    with pytest.raises(ValueError, match="exact_threshold"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_lenient_truncation_flags_plans(tmp_path):
     cfg = PipelineConfig(
         write_csv(tmp_path, OVERLAP_CSV), tmp_path / "out", max_circuits=1, strict=False

@@ -45,13 +45,13 @@ def test_partition_covers_vertices():
 def test_nontrivial_filters_singletons():
     g = graph_of([("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("C", "D", 1)])
     p = tarjan(g)
-    assert nontrivial_components(p, g) == [["A", "B", "C"]]
+    assert nontrivial_components(p) == [["A", "B", "C"]]
 
 
 def test_all_singletons_filter_to_nothing():
     g = graph_of([("A", "B", 1), ("B", "C", 1)])
     p = tarjan(g)
-    assert nontrivial_components(p, g) == []
+    assert nontrivial_components(p) == []
 
 
 def test_empty_graph():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -10,18 +11,76 @@ from netcycle import (
     EnumerationConfig,
     ExactSearchRefused,
     OptimizerConfig,
+    PlanStep,
+    SettlementPlan,
     StalePlanError,
+    circuit_value,
     enumerate_graph,
     merge_circuits,
     optimize_order,
     plan_for_order,
     plan_per_scc,
     replay,
+    settle,
     tarjan,
 )
 from netcycle.oracle import best_order_by_permutation
+from netcycle.settlement import EXACT_HARD_CAP
 
-from conftest import ABCD, ABDEF, BCGH, OVERLAP_CIRCUITS, graph_of, random_graph
+from conftest import ABCD, ABDEF, BCGH, OVERLAP_CIRCUITS, complete_digraph, graph_of, random_graph
+
+
+# References: the settlement loops written against DebtGraph itself, which
+# the slot-table paths must match step for step.
+
+def reference_greedy(g, circuits):
+    scratch = g.copy()
+    heap = [(-circuit_value(scratch, c) * len(c), c) for c in sorted(circuits)]
+    heapq.heapify(heap)
+    steps, skipped, total = [], [], 0
+    while heap:
+        neg_amount, c = heapq.heappop(heap)
+        x = circuit_value(scratch, c)
+        if x == 0:
+            skipped.append(c)
+            continue
+        amount = x * len(c)
+        if amount != -neg_amount:
+            heapq.heappush(heap, (-amount, c))
+            continue
+        settle(scratch, c)
+        steps.append(PlanStep(c, x, amount))
+        total += amount
+    return steps, total, sorted(skipped)
+
+
+def reference_plan_for_order(g, circuits):
+    scratch = g.copy()
+    steps, skipped, total = [], [], 0
+    for c in circuits:
+        x = circuit_value(scratch, c)
+        if x == 0:
+            skipped.append(c)
+            continue
+        settle(scratch, c)
+        steps.append(PlanStep(c, x, x * len(c)))
+        total += x * len(c)
+    return steps, total, skipped
+
+
+def reference_replay(g, plan):
+    """The replayed copy of g, or the index of the first stale step."""
+    scratch = g.copy()
+    for idx, step in enumerate(plan.steps):
+        if circuit_value(scratch, step.circuit) != step.per_edge:
+            return idx
+        settle(scratch, step.circuit)
+    return scratch
+
+
+# A circuit through A->B and B->A twice: settling it would take its amount
+# from each edge twice.
+TWICE = ("A", "B", "A", "B")
 
 
 class TestExactOptimizer:
@@ -67,10 +126,17 @@ class TestExactOptimizer:
         optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
         assert dict(overlap_graph.edges()) == before
 
-    def test_hard_cap_refusal(self, overlap_graph):
-        cfg = OptimizerConfig(mode="exact", exact_hard_cap=2)
+    def test_hard_cap_refusal(self):
+        g = complete_digraph(4)
+        circuits = merge_circuits(enumerate_graph(g, tarjan(g), EnumerationConfig()))
+        assert len(circuits) > EXACT_HARD_CAP == 12
         with pytest.raises(ExactSearchRefused, match="greedy"):
-            optimize_order(overlap_graph, OVERLAP_CIRCUITS, cfg)
+            optimize_order(g, circuits[:13], OptimizerConfig(mode="exact"))
+
+    @pytest.mark.parametrize("threshold", [EXACT_HARD_CAP + 1, 40])
+    def test_threshold_outside_one_to_cap_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match="exact_threshold"):
+            OptimizerConfig(exact_threshold=threshold)
 
     def test_matches_permutation_oracle(self):
         rng = random.Random(2023)
@@ -136,6 +202,29 @@ class TestGreedyOptimizer:
         assert big.mode == "greedy"
 
 
+@pytest.mark.parametrize("bad, reason", [(TWICE, "uses an edge twice"), ((), "is empty")])
+class TestBadCircuit:
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_optimizer_rejects_it(self, mode, bad, reason):
+        g = graph_of([("A", "B", 5), ("B", "A", 5)])
+        with pytest.raises(ValueError, match=reason):
+            optimize_order(g, [("A", "B"), bad], OptimizerConfig(mode=mode))
+        assert dict(g.edges()) == {("A", "B"): 5, ("B", "A"): 5}
+
+    def test_forced_order_rejects_it(self, bad, reason):
+        g = graph_of([("A", "B", 5), ("B", "A", 5)])
+        with pytest.raises(ValueError, match=reason):
+            plan_for_order(g, [bad])
+
+    def test_replay_names_the_step_and_leaves_the_graph(self, bad, reason):
+        g = graph_of([("A", "B", 5), ("B", "A", 5)])
+        plan = SettlementPlan([PlanStep(("A", "B"), 2, 4), PlanStep(bad, 3, 12)], 16, [], "forced")
+        with pytest.raises(StalePlanError, match=reason) as err:
+            replay(g, plan)
+        assert err.value.step_index == 1
+        assert dict(g.edges()) == {("A", "B"): 5, ("B", "A"): 5}
+
+
 class TestReplay:
     def test_reproduces_recorded_amounts(self, overlap_graph):
         plan = optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
@@ -172,6 +261,17 @@ class TestReplay:
         assert err.value.step_index == 1
         assert dict(tampered.edges()) == before
 
+    def test_zero_amount_step_is_stale_and_leaves_the_graph(self):
+        g = graph_of([("A", "B", 5), ("B", "A", 5), ("B", "C", 3), ("C", "D", 3)])
+        before = dict(g.edges())
+        plan = SettlementPlan(
+            [PlanStep(("A", "B"), 5, 10), PlanStep(("B", "C", "D"), 0, 0)], 10, [], "forced"
+        )
+        with pytest.raises(StalePlanError, match="not positive") as err:
+            replay(g, plan)
+        assert err.value.step_index == 1
+        assert dict(g.edges()) == before
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -188,6 +288,55 @@ class TestReplay:
         fresh = g.copy()
         replay(fresh, plan)
         assert g.total_weight() - fresh.total_weight() == plan.total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"), st.integers(1, 9)),
+        min_size=6, max_size=24,
+    ),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["swap", "amount", "edge", "none"]),
+    st.sampled_from([-1, 1]),
+)
+def test_slot_paths_match_the_graph_references(edges, rnd, change, delta):
+    g = graph_of([(u, v, w) for u, v, w in edges if u != v])
+    before = dict(g.edges())
+    circuits = merge_circuits(enumerate_graph(g, tarjan(g), EnumerationConfig()))
+
+    greedy = optimize_order(g, circuits, OptimizerConfig(mode="greedy"))
+    assert (greedy.steps, greedy.total, greedy.skipped) == reference_greedy(g, circuits)
+    order = rnd.sample(circuits, len(circuits))
+    forced = plan_for_order(g, order)
+    assert (forced.steps, forced.total, forced.skipped) == reference_plan_for_order(g, order)
+    assert dict(g.edges()) == before
+
+    # Replay a plan that may have gone stale: steps reordered, one amount
+    # off by one, or one edge of the graph off by one since the plan was made.
+    steps = list(forced.steps)
+    tampered = g.copy()
+    if steps:
+        i = rnd.randrange(len(steps))
+        if change == "swap":
+            j = rnd.randrange(len(steps))
+            steps[i], steps[j] = steps[j], steps[i]
+        elif change == "amount":
+            steps[i] = PlanStep(steps[i].circuit, steps[i].per_edge + delta, steps[i].amount)
+        elif change == "edge":
+            edge = steps[i].circuit[:2]
+            tampered = graph_of([(u, v, w + delta * ((u, v) == edge)) for (u, v), w in g.edges()
+                                 if w + delta * ((u, v) == edge)])
+    plan = SettlementPlan(steps, sum(s.amount for s in steps), [], "forced")
+    expected = reference_replay(tampered, plan)
+    state = dict(tampered.edges())
+    if isinstance(expected, int):
+        with pytest.raises(StalePlanError) as err:
+            replay(tampered, plan)
+        assert err.value.step_index == expected
+        assert dict(tampered.edges()) == state
+    else:
+        assert replay(tampered, plan) == expected
 
 
 class TestPlanPerScc:
