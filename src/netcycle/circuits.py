@@ -9,6 +9,11 @@ The search is length-aware (after Gupta & Suzumura, "Finding All
 Bounded-Length Simple Cycles in a Directed Graph", 2021): a reverse BFS
 from s gives each vertex's hop distance back to s, and the path extends to
 w only if a circuit through w still fits the cap.
+
+Vertices are positions in the graph's shared sorted index (id order), and
+successors are read from its CSR rows. Only the component's predecessor
+rows are built; a successor outside the component has no distance back to
+s, so the search stays in the induced subgraph.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ledger import Circuit, CompanyId, DebtGraph
+from .ledger import Circuit, CompanyId, DebtGraph, GraphIndex
 from .scc import SccPartition, nontrivial_components
 
 
@@ -78,41 +83,27 @@ class _Stop(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentIndex:
-    """One component over local vertex indices. verts is in ascending id
-    order, so index order is id order; succ[i] lists i's successors
-    ascending and pred[i] its predecessors."""
-
-    verts: list[CompanyId]
-    succ: list[list[int]]
-    pred: list[list[int]]
-
-
-def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> ComponentIndex:
-    """The component's induced subgraph as a ComponentIndex, cut from the
-    graph's shared index. Local order follows global order, so filtering
-    a global row through the global-to-local map keeps it ascending."""
+def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> dict[int, list[int]]:
+    """The predecessor rows of the component's induced subgraph, keyed by
+    each member's position in g.index(), in ascending order. A row lists
+    only members, ascending. A company absent from g has no row."""
     index = g.index()
-    gverts, indptr, indices = index.verts, index.indptr, index.indices
-    verts = sorted(set(component))
-    local: dict[int, int] = {}
-    for i, v in enumerate(verts):
-        p = bisect_left(gverts, v)
-        if p < len(gverts) and gverts[p] == v:
-            local[p] = i
-    # a company absent from g keeps an empty row
-    succ: list[list[int]] = [[] for _ in verts]
-    for p, i in local.items():
-        succ[i] = [local[w] for w in indices[indptr[p]:indptr[p + 1]] if w in local]
-    pred: list[list[int]] = [[] for _ in verts]
-    for v, row in enumerate(succ):
-        for w in row:
-            pred[w].append(v)
-    return ComponentIndex(verts, succ, pred)
+    verts, indptr, indices = index.verts, index.indptr, index.indices
+    pred: dict[int, list[int]] = {}
+    p = 0
+    for v in sorted(set(component)):
+        p = bisect_left(verts, v, p)
+        if p < len(verts) and verts[p] == v:
+            pred[p] = []
+    for p in pred:
+        for w in indices[indptr[p]:indptr[p + 1]]:
+            row = pred.get(w)
+            if row is not None:
+                row.append(p)
+    return pred
 
 
-def distances_to(s: int, pred: list[list[int]], depth: int) -> dict[int, int]:
+def distances_to(s: int, pred: dict[int, list[int]], depth: int) -> dict[int, int]:
     """Fewest hops from each vertex back to s through vertices > s, for
     the vertices within `depth` hops; s itself is at 0."""
     dist = {s: 0}
@@ -131,17 +122,18 @@ def distances_to(s: int, pred: list[list[int]], depth: int) -> dict[int, int]:
 
 
 def search_from(
-    s: int, index: ComponentIndex, max_len: int, budget: _Budget, out: list[tuple[int, ...]]
+    s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int, budget: _Budget,
+    out: list[tuple[int, ...]],
 ) -> None:
     """Append to out every circuit of length <= max_len whose smallest
-    vertex is s, in lexicographic order.
+    vertex is s, in lexicographic order, among the vertices `pred` has rows for.
 
     The path extends to a successor w only if w > s, w is off the path and
     len(path) + dist[w] <= max_len, i.e. a circuit through w can still fit
     the cap. Only distances to s prune, so nothing within the cap is lost.
     """
-    succ = index.succ
-    dist = distances_to(s, index.pred, max_len - 1)
+    indptr, indices = index.indptr, index.indices
+    dist = distances_to(s, pred, max_len - 1)
     path = [s]
     on_path = {s}
 
@@ -150,7 +142,7 @@ def search_from(
         if budget.deadline is not None and (budget.ticks & 1023) == 0 and time.monotonic() >= budget.deadline:
             budget.reason = "time_budget"
             raise _Stop
-        for w in succ[v]:
+        for w in indices[indptr[v]:indptr[v + 1]]:
             if w == s:
                 out.append(tuple(path))
                 if budget.remaining > 0:
@@ -159,7 +151,7 @@ def search_from(
                         budget.reason = "max_circuits"
                         raise _Stop
                 continue
-            d = dist.get(w)  # None for w < s and for w too far from s
+            d = dist.get(w)  # None for w < s, outside pred, or too far from s
             if d is not None and len(path) + d <= max_len and w not in on_path:
                 path.append(w)
                 on_path.add(w)
@@ -177,13 +169,20 @@ def search_from(
 
 
 def _search(
-    index: ComponentIndex, cfg: EnumerationConfig
+    index: GraphIndex, pred: dict[int, list[int]], cfg: EnumerationConfig
 ) -> tuple[list[tuple[int, ...]], str | None]:
+    """Every start in ascending order. Consumes `pred`: a finished start
+    leaves its successors' rows, as no later start's reverse BFS may use it."""
     budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
     out: list[tuple[int, ...]] = []
+    indptr, indices = index.indptr, index.indices
     try:
-        for s in range(len(index.verts)):
-            search_from(s, index, cfg.max_len, budget, out)
+        for s in pred:
+            search_from(s, index, pred, cfg.max_len, budget, out)
+            for w in indices[indptr[s]:indptr[s + 1]]:
+                row = pred.get(w)
+                if row is not None:
+                    row.remove(s)
     except _Stop:
         return out, budget.reason
     return out, None
@@ -198,10 +197,9 @@ def enumerate_circuits(
     length <= cfg.max_len, each once, canonical rotation, emitted in
     lexicographic order. A hit budget yields a truncated partial result."""
     cfg = cfg or EnumerationConfig()
-    index = component_adjacency(g, component)
-    raw, reason = _search(index, cfg)
-    verts = index.verts
-    circuits = [tuple([verts[i] for i in c]) for c in raw]
+    index = g.index()
+    raw, reason = _search(index, component_adjacency(g, component), cfg)
+    circuits = [tuple([index.verts[i] for i in c]) for c in raw]
     return EnumerationResult(circuits, reason is not None, reason)
 
 

@@ -6,8 +6,8 @@ integers in minor currency units. Floating point never touches money.
 
 Each graph keeps one sorted CSR index (`DebtGraph.index`), built on first
 use and dropped by every mutation. The `graph.json` writer, Tarjan's SCC
-search and the per-component circuit indexes all read that one index, so
-the ids are sorted and numbered once per graph state.
+search and the circuit search all read that one index, so the ids are
+sorted and numbered once per graph state.
 
 Both bulk readers, `ingest_csv` and `DebtGraph.from_json`, accept or
 explain: a record that passes one inline test, the conjunction of every
@@ -310,13 +310,17 @@ def settle(g: DebtGraph, circuit: tuple[CompanyId, ...]) -> int:
     """Subtract the circuit's minimum edge weight from every edge on it.
 
     Returns the settled amount per edge. Edges that reach zero are removed.
-    Raises StaleCircuitError (leaving the graph untouched) if any edge is
-    missing or already exhausted.
+    Raises ValueError if the circuit is empty or uses an edge twice, and
+    StaleCircuitError if any edge is missing or already exhausted; either
+    way the graph is left untouched.
     """
+    edges = list(circuit_edges(circuit))
+    if not edges or len(set(edges)) < len(edges):
+        raise ValueError(f"circuit {list(circuit)} {'uses an edge twice' if edges else 'is empty'}")
     x = circuit_value(g, circuit)
     if x == 0:
         raise StaleCircuitError(f"circuit {','.join(circuit)} is no longer settleable")
-    for u, v in circuit_edges(circuit):
+    for u, v in edges:
         g._decrease(u, v, x)
     return x
 

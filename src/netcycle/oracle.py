@@ -101,12 +101,11 @@ def best_order_by_permutation(
     plain weight map with skip-at-zero semantics.
 
     Without `tie_break` the first maximum-total permutation wins. With
-    'balanced' or 'canonical', equal totals are ranked by the key that
-    OptimizerConfig documents: 'balanced' takes the highest sorted step
-    amounts, then the smallest circuit sequence; 'canonical' the smallest
-    circuit sequence.
+    'balanced', equal totals are ranked by the key that OptimizerConfig
+    documents: the highest sorted step amounts, then the smallest circuit
+    sequence.
     """
-    if tie_break not in (None, "balanced", "canonical"):
+    if tie_break not in (None, "balanced"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     budget = budget or OracleBudget()
     if len(circuits) > budget.max_circuits_for_permutation:
@@ -128,7 +127,7 @@ def best_order_by_permutation(
             steps.append(PlanStep(c, x, x * len(c)))
             total += x * len(c)
         if best is None or total > best[0] or (
-            total == best[0] and tie_break is not None and _wins_tie(steps, best[1], tie_break)
+            total == best[0] and tie_break is not None and _wins_tie(steps, best[1])
         ):
             best = (total, steps, skipped)
     if best is None:
@@ -136,11 +135,10 @@ def best_order_by_permutation(
     return SettlementPlan(steps=best[1], total=best[0], skipped=best[2], mode="oracle")
 
 
-def _wins_tie(steps: list[PlanStep], incumbent: list[PlanStep], tie_break: str) -> bool:
+def _wins_tie(steps: list[PlanStep], incumbent: list[PlanStep]) -> bool:
     """Whether `steps` ranks above an equal-total `incumbent`."""
-    if tie_break == "balanced":
-        ours = sorted(s.amount for s in steps)
-        theirs = sorted(s.amount for s in incumbent)
-        if ours != theirs:
-            return ours > theirs
+    ours = sorted(s.amount for s in steps)
+    theirs = sorted(s.amount for s in incumbent)
+    if ours != theirs:
+        return ours > theirs
     return [s.circuit for s in steps] < [s.circuit for s in incumbent]

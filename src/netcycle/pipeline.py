@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, merge_circuits, resolve_engine
@@ -59,24 +60,11 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "company_count": self.company_count,
-            "edge_count": self.edge_count,
-            "density": self.density,
-            "density_float": self.density_float,
-            "scc_count": self.scc_count,
-            "scc_size_histogram": {str(k): v for k, v in sorted(self.scc_size_histogram.items())},
-            "circuit_count": self.circuit_count,
-            "circuits_by_length": {str(k): v for k, v in sorted(self.circuits_by_length.items())},
-            "truncated": self.truncated,
-            "per_scc_totals": self.per_scc_totals,
-            "grand_total": self.grand_total,
-            "settled_steps": self.settled_steps,
-            "skipped_circuits": self.skipped_circuits,
-            "circuits_to_steps_ratio": self.circuits_to_steps_ratio,
-            "rejected_records": self.rejected_records,
-            "timings": self.timings,
-        }
+        """The report.json payload: fields in declaration order, dicts in
+        insertion order, which build_report keeps ascending by key. Values
+        are shared, not copied as dataclasses.asdict would copy every leaf
+        of per_scc_totals."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
@@ -178,8 +166,7 @@ def build_report(
     except DensityUndefinedError:
         pass
     report.scc_count = len(partition.components)
-    for comp in partition.components:
-        report.scc_size_histogram[len(comp)] = report.scc_size_histogram.get(len(comp), 0) + 1
+    report.scc_size_histogram = dict(sorted(Counter(len(comp) for comp in partition.components).items()))
     report.circuits_by_length = {length: 0 for length in range(2, max_len + 1)}
     for item in per_component:
         for c in item.result.circuits:

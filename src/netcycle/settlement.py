@@ -48,21 +48,18 @@ class _BadCircuit(ValueError):
 class OptimizerConfig:
     """mode: exact, greedy, or auto (exact up to exact_threshold circuits).
     Exact mode refuses outright above EXACT_HARD_CAP, so exact_threshold is
-    1..EXACT_HARD_CAP. tie_break picks among equal-total plans: 'balanced'
-    prefers value spread across steps, then the smallest circuit sequence;
-    'canonical' takes the smallest circuit sequence."""
+    1..EXACT_HARD_CAP. Among equal-total plans exact mode prefers value
+    spread across steps (the highest sorted step amounts), then the
+    smallest circuit sequence."""
 
     mode: str = "auto"
     exact_threshold: int = 10
-    tie_break: str = "balanced"
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "greedy", "auto"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.exact_threshold <= EXACT_HARD_CAP:
             raise ValueError(f"exact_threshold must be in 1..{EXACT_HARD_CAP}")
-        if self.tie_break not in ("balanced", "canonical"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ def _in_order(w: list[int], edges: list[tuple[int, ...]]) -> Iterator[int]:
 
 
 def _exact_order(
-    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit], cfg: OptimizerConfig
+    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit]
 ) -> tuple[list[PlanStep], int, list[Circuit]]:
     """Best settlement order by a memoized search for the best suffix from
     each settlement state.
@@ -135,19 +132,18 @@ def _exact_order(
     meet in one cached state instead of being searched again. Settling a
     circuit drops every live circuit through an edge it empties.
 
-    The best suffix has the highest total; under 'balanced' ties go to the
-    highest sorted step amounts. Remaining ties go to the smallest step
-    sequence, which is the first candidate because live circuits are tried
-    in ascending order. Both keys compose with a fixed prefix, so the best
-    suffix from every state yields the best order overall.
+    The best suffix has the highest total; ties go to the highest sorted
+    step amounts. Remaining ties go to the smallest step sequence, which is
+    the first candidate because live circuits are tried in ascending order.
+    Both keys compose with a fixed prefix, so the best suffix from every
+    state yields the best order overall.
     """
     users = [0] * len(w)  # per slot: bitmask of the circuits through it
     for i, ids in enumerate(edges):
         for e in ids:
             users[e] |= 1 << i
     k = [len(c) for c in order]
-    balanced = cfg.tie_break == "balanced"
-    # state -> (total, sorted amounts if balanced, ((circuit index, per_edge), ...))
+    # state -> (total, sorted amounts, ((circuit index, per_edge), ...))
     memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
 
     def best(live: list[int]) -> tuple[int, tuple[int, ...], tuple]:
@@ -169,9 +165,8 @@ def _exact_order(
             total, amounts, steps = suffix
             amount = x * k[i]
             total += amount
-            if balanced:
-                amounts = tuple(sorted((amount,) + amounts))
-            if total > found[0] or (balanced and total == found[0] and amounts > found[1]):
+            amounts = tuple(sorted((amount,) + amounts))
+            if total > found[0] or (total == found[0] and amounts > found[1]):
                 found = (total, amounts, ((i, x),) + steps)
         return found
 
@@ -236,7 +231,7 @@ def optimize_order(
         )
     w, edges = _slots(g, order)
     if mode == "exact":
-        steps, total, skipped = _exact_order(w, edges, order, cfg)
+        steps, total, skipped = _exact_order(w, edges, order)
     else:
         steps, total, skipped = _greedy_order(w, edges, order)
     return SettlementPlan(steps=steps, total=total, skipped=skipped, mode=mode)

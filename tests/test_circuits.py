@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcycle import (
+    DebtGraph,
     EnumerationConfig,
     enumerate_circuits,
     enumerate_graph,
@@ -117,6 +118,29 @@ class TestProperties:
             assert rotations not in seen_rotations
             seen_rotations.add(rotations)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 9), st.booleans())
+    def test_any_subset_matches_oracle_on_induced_subgraph(self, seed, max_len, with_stranger):
+        """The search runs on positions in the whole graph's index, so a
+        successor outside the subset must stay out of every circuit, and
+        an id missing from the graph must change nothing."""
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.7))
+        subset = [v for v in sorted(g.vertices) if rng.random() < 0.6]
+        induced = DebtGraph()
+        for v in subset:
+            induced.add_vertex(v)
+        for (u, v), w in g.edges():
+            if u in induced and v in induced:
+                induced.add_obligation(u, v, w)
+        if with_stranger:
+            # sorts between the graph's ids, so a lookup must not land on a neighbour
+            subset.append(f"v{rng.randint(0, 9):02d}-absent")
+        rng.shuffle(subset)
+        res = enumerate_circuits(g, subset, EnumerationConfig(max_len=max_len))
+        assert res.circuits == circuits_by_dfs(induced, max_len)
+        assert not res.truncated
+
     def test_containment_in_component(self):
         rng = random.Random(5)
         g = random_graph(rng, 20, 0.12)
@@ -190,16 +214,18 @@ def test_engine_names(tmp_path, intro_graph):
 
 
 class TestStartSearch:
-    """One start vertex's search and its distance bound, on small indexes."""
+    """One start vertex's search and its distance bound, on small graphs:
+    the graph's shared index and the whole vertex set's predecessor rows."""
 
     def index(self, edges):
         g = graph_of([(u, v, 1) for u, v in edges])
-        return component_adjacency(g, g.vertices)
+        return g.index(), component_adjacency(g, g.vertices)
 
-    def search(self, index, start, max_len=8):
+    def search(self, graph, start, max_len=8):
+        index, pred = graph
         budget = _Budget(None, None)
         out = []
-        search_from(index.verts.index(start), index, max_len, budget, out)
+        search_from(index.verts.index(start), index, pred, max_len, budget, out)
         return [tuple(index.verts[i] for i in c) for c in out], budget
 
     def test_records_three_cycle(self):
@@ -221,17 +247,28 @@ class TestStartSearch:
         assert found == []
         assert budget.ticks == 1  # B is 4 hops from A: too far for the cap
         assert budget.reason is None and budget.remaining == -1
-        assert index == self.index(edges)  # the shared index is untouched
+        assert index == self.index(edges)  # the index and rows are untouched
         assert self.search(index, "A", max_len=5)[0] == [("A", "B", "C", "D", "E")]
 
     def test_distances_to(self):
         # E -> D -> C -> B -> A, plus the shortcut D -> A and the edge A -> E
-        index = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
+        _, pred = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
         a, b, c, d, e = range(5)
-        assert distances_to(a, index.pred, 3) == {a: 0, b: 1, d: 1, c: 2, e: 2}
-        assert distances_to(a, index.pred, 1) == {a: 0, b: 1, d: 1}
+        assert pred == {a: [b, d], b: [c], c: [d], d: [e], e: [a]}
+        assert distances_to(a, pred, 3) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        assert distances_to(a, pred, 1) == {a: 0, b: 1, d: 1}
         # only vertices above the start count: A is below B
-        assert distances_to(b, index.pred, 4) == {b: 0, c: 1, d: 2, e: 3}
+        assert distances_to(b, pred, 4) == {b: 0, c: 1, d: 2, e: 3}
+
+    def test_rows_hold_members_only_at_graph_positions(self):
+        # C sits between A and E in the index but is left out of the rows
+        g = graph_of([("A", "C", 1), ("C", "E", 1), ("E", "A", 1), ("E", "C", 1)])
+        a, c, e = range(3)
+        pred = component_adjacency(g, ["E", "B", "A"])  # B is not in g
+        assert pred == {a: [e], e: []}
+        found, budget = self.search((g.index(), pred), "A")
+        assert found == []  # A -> C -> E -> A leaves the subset
+        assert budget.ticks == 1
 
 
 @pytest.mark.parametrize("max_circuits", [None, 3], ids=["complete", "truncated"])
@@ -239,13 +276,13 @@ def test_search_leaves_no_cyclic_garbage(max_circuits):
     """Each start vertex's search state is freed by reference counting, so
     a long search does not drive the cyclic collector."""
     g = complete_digraph(6)
-    index = component_adjacency(g, g.vertices)
+    index, pred = g.index(), component_adjacency(g, g.vertices)
     cfg = EnumerationConfig(max_len=4, max_circuits=max_circuits)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        circuits, reason = _search(index, cfg)
+        circuits, reason = _search(index, pred, cfg)
         found = gc.collect()
     finally:
         if was_enabled:

@@ -366,6 +366,14 @@ class TestSettle:
             settle(intro_graph, ("A", "B", "C"))
         assert dict(intro_graph.edges()) == before
 
+    @pytest.mark.parametrize("circuit", [("A", "B", "A", "B"), ()], ids=["edge-twice", "empty"])
+    def test_bad_circuit_leaves_graph_untouched(self, circuit):
+        g = graph_of([("A", "B", 5), ("B", "A", 8)])
+        before = dict(g.edges())
+        with pytest.raises(ValueError):
+            settle(g, circuit)
+        assert dict(g.edges()) == before
+
     def test_conservation(self, intro_graph):
         total = intro_graph.total_weight()
         x = settle(intro_graph, ("A", "B", "C"))

@@ -153,26 +153,20 @@ class TestExactOptimizer:
     def test_whole_plan_matches_tie_break_oracle(self):
         # weights 1-3 make equal-total orders common, so the tie-break decides
         rng = random.Random(77)
-        checked = differs = 0
+        checked = 0
         for _ in range(100):
             g = random_graph(rng, rng.randint(3, 5), 0.9, max_weight=3)
             circuits = merge_circuits(enumerate_graph(g, tarjan(g), EnumerationConfig()))
             if not circuits:
                 continue
             circuits = rng.sample(circuits, rng.randint(1, min(7, len(circuits))))
-            plans = {}
-            for tie_break in ("balanced", "canonical"):
-                exact = optimize_order(g, circuits, OptimizerConfig(mode="exact", tie_break=tie_break))
-                oracle = best_order_by_permutation(g, circuits, tie_break=tie_break)
-                assert exact.steps == oracle.steps
-                assert exact.skipped == sorted(oracle.skipped)
-                assert exact.total == oracle.total
-                plans[tie_break] = exact.steps
+            exact = optimize_order(g, circuits, OptimizerConfig(mode="exact"))
+            oracle = best_order_by_permutation(g, circuits, tie_break="balanced")
+            assert exact.steps == oracle.steps
+            assert exact.skipped == sorted(oracle.skipped)
+            assert exact.total == oracle.total
             checked += 1
-            differs += plans["balanced"] != plans["canonical"]
         assert checked >= 90
-        # the keys must disagree on some instances for the check to bite
-        assert differs >= 3
 
 
 class TestGreedyOptimizer:
