@@ -1,14 +1,22 @@
 """Elementary circuit enumeration with a circuit-length cap.
 
-The search runs once per start vertex s, in ascending order, over the
-subgraph induced by vertices >= s, visiting successors in ascending order.
-So every circuit is found exactly once, in canonical rotation, from its
-smallest vertex, and circuits are emitted in lexicographic order.
+The search runs once per start vertex s over the component's induced
+subgraph. Starts go from the highest degree score down, where the score
+is a vertex's in-degree inside the component times its out-degree, ties
+by position: hubs close the most circuits, and searching them first
+leaves the many low-degree starts a sparser graph. A finished start
+leaves every predecessor row, so later searches cannot reach it, and
+every circuit is found exactly once, from whichever of its vertices was
+searched first. Each raw circuit is then rotated to start at its smallest
+vertex and the component's list is sorted, so the output is in canonical
+rotation and lexicographic order whatever the start order.
 
 The search is length-aware (after Gupta & Suzumura, "Finding All
 Bounded-Length Simple Cycles in a Directed Graph", 2021): a reverse BFS
 from s gives each vertex's hop distance back to s, and the path extends to
-w only if a circuit through w still fits the cap.
+w only if a circuit through w still fits the cap. The hub-first start
+order follows degeneracy-style orderings (Eppstein, Löffler & Strash,
+ISAAC 2010).
 
 Vertices are positions in the graph's shared sorted index (id order), and
 successors are read from its CSR rows. Only the component's predecessor
@@ -23,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ledger import Circuit, CompanyId, DebtGraph, GraphIndex
+from .ledger import Circuit, CompanyId, DebtGraph, GraphIndex, canonical_rotation
 from .scc import SccPartition, nontrivial_components
 
 
@@ -39,7 +47,11 @@ def resolve_engine(engine: str | None) -> str:
 class EnumerationConfig:
     """max_len caps circuit length (>= 2). max_circuits is an emit-and-stop
     safety valve; per_scc_time_budget is wall-clock seconds per component.
-    Hitting either bound yields a partial result flagged truncated."""
+    Hitting either bound yields a partial result flagged truncated: the
+    circuits found from the first starts in search order (hub first, see
+    the module docstring), listed in lexicographic order like a full
+    result. Which circuits a truncated component keeps therefore follows
+    the degree order, not the ids."""
 
     max_len: int = 8
     max_circuits: int | None = None
@@ -91,7 +103,9 @@ def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> dict[in
     verts, indptr, indices = index.verts, index.indptr, index.indices
     pred: dict[int, list[int]] = {}
     p = 0
-    for v in sorted(set(component)):
+    # Tarjan's members come sorted, so this sort is linear; a repeated id
+    # bisects to the same position and is harmless.
+    for v in sorted(component):
         p = bisect_left(verts, v, p)
         if p < len(verts) and verts[p] == v:
             pred[p] = []
@@ -104,15 +118,17 @@ def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> dict[in
 
 
 def distances_to(s: int, pred: dict[int, list[int]], depth: int) -> dict[int, int]:
-    """Fewest hops from each vertex back to s through vertices > s, for
-    the vertices within `depth` hops; s itself is at 0."""
+    """Fewest hops from each vertex back to s along the rows of `pred`, for
+    the vertices within `depth` hops; s itself is at 0. Starts searched
+    before s are no longer in any row (see _search), so they get no
+    distance."""
     dist = {s: 0}
     frontier = [s]
     for d in range(1, depth + 1):
         nxt = []
         for w in frontier:
             for u in pred[w]:
-                if u > s and u not in dist:
+                if u not in dist:
                     dist[u] = d
                     nxt.append(u)
         if not nxt:
@@ -125,10 +141,12 @@ def search_from(
     s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int, budget: _Budget,
     out: list[tuple[int, ...]],
 ) -> None:
-    """Append to out every circuit of length <= max_len whose smallest
-    vertex is s, in lexicographic order, among the vertices `pred` has rows for.
+    """Append to out every circuit of length <= max_len through s among
+    the vertices still in `pred`'s rows, each as a tuple that starts at s,
+    in the order the DFS meets them (successors by ascending position).
 
-    The path extends to a successor w only if w > s, w is off the path and
+    The path extends to a successor w only if w has a distance to s (it is
+    a member and not an earlier start), w is off the path and
     len(path) + dist[w] <= max_len, i.e. a circuit through w can still fit
     the cap. Only distances to s prune, so nothing within the cap is lost.
     """
@@ -151,7 +169,7 @@ def search_from(
                         budget.reason = "max_circuits"
                         raise _Stop
                 continue
-            d = dist.get(w)  # None for w < s, outside pred, or too far from s
+            d = dist.get(w)  # None for an earlier start, a non-member, or too far from s
             if d is not None and len(path) + d <= max_len and w not in on_path:
                 path.append(w)
                 on_path.add(w)
@@ -171,13 +189,18 @@ def search_from(
 def _search(
     index: GraphIndex, pred: dict[int, list[int]], cfg: EnumerationConfig
 ) -> tuple[list[tuple[int, ...]], str | None]:
-    """Every start in ascending order. Consumes `pred`: a finished start
-    leaves its successors' rows, as no later start's reverse BFS may use it."""
+    """Every start, from the highest score len(pred[p]) * out-degree(p)
+    down, ties by ascending position. Consumes `pred`: a finished start
+    leaves its successors' rows, so no later search reaches it. Raw
+    circuits start at their start vertex, in search order."""
     budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
     out: list[tuple[int, ...]] = []
     indptr, indices = index.indptr, index.indices
+    # One list of positions, scored before any row shrinks; the sort is
+    # stable, so equal scores keep pred's ascending order.
+    order = sorted(pred, key=lambda p: len(pred[p]) * (indptr[p + 1] - indptr[p]), reverse=True)
     try:
-        for s in pred:
+        for s in order:
             search_from(s, index, pred, cfg.max_len, budget, out)
             for w in indices[indptr[s]:indptr[s + 1]]:
                 row = pred.get(w)
@@ -194,12 +217,16 @@ def enumerate_circuits(
     cfg: EnumerationConfig | None = None,
 ) -> EnumerationResult:
     """All elementary circuits of the component's induced subgraph with
-    length <= cfg.max_len, each once, canonical rotation, emitted in
-    lexicographic order. A hit budget yields a truncated partial result."""
+    length <= cfg.max_len, each once, canonical rotation, in lexicographic
+    order. A hit budget yields a truncated partial result (see
+    EnumerationConfig)."""
     cfg = cfg or EnumerationConfig()
     index = g.index()
     raw, reason = _search(index, component_adjacency(g, component), cfg)
-    circuits = [tuple([index.verts[i] for i in c]) for c in raw]
+    # Position order is id order, so rotating and sorting positions gives
+    # the canonical rotation and lexicographic order of the ids.
+    ordered = sorted(map(canonical_rotation, raw))
+    circuits = [tuple([index.verts[i] for i in c]) for c in ordered]
     return EnumerationResult(circuits, reason is not None, reason)
 
 

@@ -1,14 +1,18 @@
 """Batch pipeline: ingest, components, circuits, plans, report.
 
-Each phase writes a plain-file artifact into the output directory, so the
-stages can also be run one at a time through the CLI and produce the same
-bytes. Wall-clock timings live in their own report section because they
-are the one part of a run that cannot be reproducible.
+Each phase writes a plain-file artifact, so the stages can also be run one
+at a time through the CLI and produce the same bytes. A run's artifacts
+reach the output directory together, only when the run succeeds.
+Wall-clock timings live in their own report section because they are the
+one part of a run that cannot be reproducible.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -200,11 +204,26 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     Strict mode propagates the first bad record as an error and refuses to
     write plans when enumeration was truncated (TruncatedInStrictMode).
+    The artifacts are written into a temporary sibling of cfg.out_dir and
+    moved into it only once the whole run has succeeded, so a refused or
+    failed run adds no file to cfg.out_dir.
     """
     engine = resolve_engine(cfg.engine)
     opt_cfg = cfg.optimizer()  # a bad mode or threshold fails before anything is written
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any work
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        report = _run_into(stage, cfg, engine, opt_cfg)
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return report
+
+
+def _run_into(out: Path, cfg: PipelineConfig, engine: str, opt_cfg: OptimizerConfig) -> RunReport:
+    """run_pipeline's phases, each writing its artifacts into `out`."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from netcycle import (
     DebtGraph,
     EnumerationConfig,
+    canonical_rotation,
+    circuits,
     enumerate_circuits,
     enumerate_graph,
     merge_circuits,
@@ -141,6 +143,31 @@ class TestProperties:
         assert res.circuits == circuits_by_dfs(induced, max_len)
         assert not res.truncated
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 9))
+    def test_relabelling_changes_nothing(self, seed, max_len):
+        """The start order follows degrees, not ids: renaming the companies
+        at random, enumerating, and renaming the circuits back gives the
+        same output, and both runs agree with the exhaustive oracle."""
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.7))
+        names = sorted(g.vertices)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        rename = dict(zip(names, shuffled))
+        back = {new: old for old, new in rename.items()}
+        relabelled = DebtGraph()
+        for v in names:
+            relabelled.add_vertex(rename[v])
+        for (u, v), w in g.edges():
+            relabelled.add_obligation(rename[u], rename[v], w)
+        cfg = EnumerationConfig(max_len=max_len)
+        mine = enumerate_whole(g, cfg)
+        theirs = enumerate_whole(relabelled, cfg)
+        assert sorted(canonical_rotation(back[v] for v in c) for c in theirs) == mine
+        assert mine == circuits_by_dfs(g, max_len)
+        assert theirs == circuits_by_dfs(relabelled, max_len)
+
     def test_containment_in_component(self):
         rng = random.Random(5)
         g = random_graph(rng, 20, 0.12)
@@ -169,12 +196,20 @@ class TestTruncation:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 40))
     def test_max_circuits_gives_prefix(self, seed, k):
+        """A truncated component keeps the first k circuits in search
+        order (hub first), listed in lexicographic order."""
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(3, 9), 0.4)
         component = sorted(g.vertices)
         full = enumerate_circuits(g, component, EnumerationConfig(max_len=6)).circuits
         res = enumerate_circuits(g, component, EnumerationConfig(max_len=6, max_circuits=k))
-        assert res.circuits == full[:k]
+        assert res.circuits == sorted(res.circuits)
+        assert len(res.circuits) == min(k, len(full))
+        assert set(res.circuits) <= set(full)
+        index = g.index()
+        raw, _ = _search(index, component_adjacency(g, component), EnumerationConfig(max_len=6))
+        first_k = [canonical_rotation(index.verts[i] for i in c) for c in raw[:k]]
+        assert res.circuits == sorted(first_k)
         assert res.truncated == (k <= len(full))
 
     def test_untruncated_result_is_flag_free(self, intro_graph):
@@ -228,10 +263,19 @@ class TestStartSearch:
         search_from(index.verts.index(start), index, pred, max_len, budget, out)
         return [tuple(index.verts[i] for i in c) for c in out], budget
 
+    def finish(self, graph, start):
+        """Drop a searched start from its successors' rows, as _search does."""
+        index, pred = graph
+        s = index.verts.index(start)
+        for w in index.indices[index.indptr[s]:index.indptr[s + 1]]:
+            if w in pred:
+                pred[w].remove(s)
+
     def test_records_three_cycle(self):
         index = self.index([("A", "B"), ("B", "C"), ("C", "A")])
         assert self.search(index, "A")[0] == [("A", "B", "C")]
-        # found once, from its smallest vertex only
+        # found once: a finished start leaves the rows, so B finds nothing
+        self.finish(index, "A")
         assert self.search(index, "B")[0] == []
 
     def test_dead_path_records_nothing(self):
@@ -252,13 +296,42 @@ class TestStartSearch:
 
     def test_distances_to(self):
         # E -> D -> C -> B -> A, plus the shortcut D -> A and the edge A -> E
-        _, pred = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
+        graph = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
+        pred = graph[1]
         a, b, c, d, e = range(5)
         assert pred == {a: [b, d], b: [c], c: [d], d: [e], e: [a]}
         assert distances_to(a, pred, 3) == {a: 0, b: 1, d: 1, c: 2, e: 2}
         assert distances_to(a, pred, 1) == {a: 0, b: 1, d: 1}
-        # only vertices above the start count: A is below B
+        # once A is searched it leaves E's row, so B's BFS stops at E
+        self.finish(graph, "A")
+        assert pred[e] == []
         assert distances_to(b, pred, 4) == {b: 0, c: 1, d: 2, e: 3}
+
+    def test_hub_is_searched_first(self, monkeypatch):
+        # H trades both ways with each of A, B, C, which also form a ring:
+        # H scores 3 in x 3 out, each of A, B, C 2 x 2
+        edges = [(x, "H") for x in "ABC"] + [("H", x) for x in "ABC"]
+        g = graph_of([(u, v, 1) for u, v in edges + [("A", "B"), ("B", "C"), ("C", "A")]])
+        starts = []
+        inner = circuits.search_from
+
+        def spy(s, *args):
+            starts.append(s)
+            inner(s, *args)
+
+        monkeypatch.setattr(circuits, "search_from", spy)
+        a, b, c, h = range(4)
+        raw, reason = _search(g.index(), component_adjacency(g, g.vertices), EnumerationConfig())
+        assert reason is None
+        assert starts == [h, a, b, c]  # ties keep position order
+        # every circuit through H comes from H's search; the ring is left to A
+        assert [r[0] for r in raw] == [h] * (len(raw) - 1) + [a]
+        assert raw[-1] == (a, b, c)
+        assert len({canonical_rotation(r) for r in raw}) == len(raw)
+        res = enumerate_circuits(g, g.vertices)
+        assert res.circuits == circuits_by_dfs(g, 8)
+        assert len(res.circuits) == len(raw)
+        assert all(c == canonical_rotation(c) for c in res.circuits)
 
     def test_rows_hold_members_only_at_graph_positions(self):
         # C sits between A and E in the index but is left out of the rows

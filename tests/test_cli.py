@@ -300,21 +300,50 @@ def test_exact_threshold_above_cap_from_env_is_usage_error(tmp_path, overlap_csv
     assert not (tmp_path / "o").exists()
 
 
-def test_exact_refusal_is_input_error(tmp_path, capsys):
-    # the complete digraph on four companies holds 20 circuits, above the cap of 12
+def _k4_csv(tmp_path):
+    # the complete digraph on four companies holds 20 circuits, above the exact-mode cap of 12
     csv_path = tmp_path / "k4.csv"
     pairs = [(u, v) for u in "ABCD" for v in "ABCD" if u != v]
     csv_path.write_text("invoice_id,debtor,creditor,amount_minor,issue_date\n" + "".join(
         f"I{i},{u},{v},5,2019-01-01\n" for i, (u, v) in enumerate(pairs)
     ), encoding="utf-8")
+    return csv_path
+
+
+def test_exact_refusal_is_input_error(tmp_path, capsys):
+    csv_path = _k4_csv(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--input", str(csv_path), "--out-dir", str(out), "--mode", "exact"]) == 2
     assert "input error: 20 circuits exceeds the exact-mode cap of 12" in capsys.readouterr().err
+    graph, structured = tmp_path / "graph.json", tmp_path / "circuits.json"
+    assert main(["ingest", "--input", str(csv_path), "--out", str(graph)]) == 0
+    assert main(["circuits", "--graph", str(graph), "--json", str(structured)]) == 0
+    capsys.readouterr()
     assert main([
-        "plan", "--graph", str(out / "graph.json"), "--circuits", str(out / "circuits.json"),
-        "--mode", "exact",
+        "plan", "--graph", str(graph), "--circuits", str(structured), "--mode", "exact",
     ]) == 2
     assert "exact-mode cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--mode", "exact"], 2),  # refused in planning
+    (["--max-circuits", "1"], 3),  # truncated in strict mode
+], ids=["exact-refusal", "strict-truncation"])
+def test_refused_run_adds_no_file(tmp_path, flags, code):
+    csv_path = _k4_csv(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("keep\n", encoding="utf-8")
+    assert main(["run", "--input", str(csv_path), "--out-dir", str(out), *flags]) == code
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    # the staging directory beside it is gone too
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.csv", "out"]
+    assert main(["run", "--input", str(csv_path), "--out-dir", str(out), "--lenient"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        "circuits.json", "circuits.txt", "graph.json", "keep.txt", "plans.json",
+        "report.csv", "report.json", "scc_sizes.csv",
+    ])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.csv", "out"]
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
