@@ -191,8 +191,10 @@ def _search(
 ) -> tuple[list[tuple[int, ...]], str | None]:
     """Every start, from the highest score len(pred[p]) * out-degree(p)
     down, ties by ascending position. Consumes `pred`: a finished start
-    leaves its successors' rows, so no later search reaches it. Raw
-    circuits start at their start vertex, in search order."""
+    leaves its successors' rows, so no later search reaches it. A start
+    whose own row is already empty at its turn closes no circuit and is
+    not searched. Raw circuits start at their start vertex, in search
+    order."""
     budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
     out: list[tuple[int, ...]] = []
     indptr, indices = index.indptr, index.indices
@@ -201,7 +203,8 @@ def _search(
     order = sorted(pred, key=lambda p: len(pred[p]) * (indptr[p + 1] - indptr[p]), reverse=True)
     try:
         for s in order:
-            search_from(s, index, pred, cfg.max_len, budget, out)
+            if pred[s]:
+                search_from(s, index, pred, cfg.max_len, budget, out)
             for w in indices[indptr[s]:indptr[s + 1]]:
                 row = pred.get(w)
                 if row is not None:

@@ -12,7 +12,9 @@ import json
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__
 from .circuits import (
@@ -28,12 +30,13 @@ from .pipeline import (
     PipelineConfig,
     RunReport,
     TruncatedInStrictMode,
-    circuits_json,
     circuits_lines,
+    dump_json,
     emit_report_csv,
-    plans_json,
     run_pipeline,
     scc_sizes_csv,
+    write_circuits_json,
+    write_plans_json,
 )
 from .scc import SccPartition, tarjan
 from .settlement import EXACT_HARD_CAP, ExactSearchRefused, OptimizerConfig, plan_per_scc
@@ -175,11 +178,19 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
     ]
 
 
+@contextmanager
+def _output(out: str | None) -> Iterator[IO[str]]:
+    """The file at `out`, opened for writing and closed after, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # -- commands -------------------------------------------------------------
@@ -190,11 +201,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         result = ingest_csv(fh, strict=not args.lenient)
     for reject in result.rejects:
         print(f"rejected {reject.locator}: {reject.reason}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            result.graph.write_json(fh)
-    else:
-        result.graph.write_json(sys.stdout)
+    with _output(args.out) as fh:
+        result.graph.write_json(fh)
     print(
         f"ingested {result.accepted} invoices into "
         f"{len(result.graph.vertices)} companies / {result.graph.edge_count()} edges "
@@ -218,7 +226,8 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     merged = merge_circuits(per_component)
     _write_or_print(circuits_lines(merged), args.out)
     if args.json:
-        Path(args.json).write_text(circuits_json(per_component, cfg), encoding="utf-8")
+        with _output(args.json) as fh:
+            write_circuits_json(fh, per_component, cfg)
     truncated = [i.scc_index for i in per_component if i.result.truncated]
     if truncated:
         print(f"truncated components: {truncated}", file=sys.stderr)
@@ -240,7 +249,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         OptimizerConfig(mode=args.mode, exact_threshold=args.exact_threshold),
         parallelism=args.parallelism, per_component=per_component,
     )
-    _write_or_print(plans_json(plans), args.out)
+    with _output(args.out) as fh:
+        write_plans_json(fh, plans)
     print(f"grand total netted: {sum(p.total for p in plans)}", file=sys.stderr)
     return EXIT_OK
 
@@ -258,8 +268,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
     )
     report = run_pipeline(cfg)
-    json.dump(report.to_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    dump_json(report.to_dict(), sys.stdout)
     return EXIT_OK
 
 

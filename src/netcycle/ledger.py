@@ -480,9 +480,15 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
     locator, or by _check_invoice, with an invoice locator: strict mode
     raises the first, lenient mode collects them all. A failure of the
     CSV layer (read_invoices) ends the read in either mode.
+
+    Each company is held as one string object: the first accepted row that
+    names it adds its id to `ids`, and every later row's edge keys are
+    that object, not the copy parsed from the row. One lookup per id both
+    tests membership and finds the kept object.
     """
     graph = DebtGraph()
-    vertices, adj = graph.vertices, graph._adj
+    adj = graph._adj
+    ids: dict[CompanyId, CompanyId] = {}  # each accepted id -> the one object the graph keeps
     rejects: list[RejectedRecord] = []
     seen_ids: set[str] = set()
     accepted = 0
@@ -493,12 +499,13 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
         except ValueError:  # a short or long row, or a bad date
             ok = False
         else:
+            d, c = ids.get(debtor), ids.get(creditor)
             ok = (
                 invoice_id and invoice_id not in seen_ids
                 and raw_amount.isascii() and raw_amount.isdigit() and (amount := int(raw_amount)) > 0
                 and debtor != creditor
-                # the ids in `vertices` passed _plain_ids when they were added
-                and ((debtor in vertices and creditor in vertices) or _plain_ids((debtor, creditor)))
+                # the ids in `ids` passed _plain_ids when they were added
+                and ((d is not None and c is not None) or _plain_ids((debtor, creditor)))
             )
         if not ok:
             err = _row_error(fields, line_num, seen_ids)
@@ -507,14 +514,17 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
             rejects.append(RejectedRecord(err.locator, err.reason))
             continue
         seen_ids.add(invoice_id)
-        vertices.add(debtor)
-        vertices.add(creditor)
-        row = adj.get(debtor)
+        if d is None:
+            d = ids[debtor] = debtor
+        if c is None:
+            c = ids[creditor] = creditor
+        row = adj.get(d)
         if row is None:
-            adj[debtor] = {creditor: amount}
+            adj[d] = {c: amount}
         else:
-            row[creditor] = row.get(creditor, 0) + amount
+            row[c] = row.get(c, 0) + amount
         accepted += 1
+    graph.vertices = set(ids)
     return IngestResult(graph, accepted, rejects)
 
 

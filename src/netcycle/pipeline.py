@@ -5,18 +5,27 @@ at a time through the CLI and produce the same bytes. A run's artifacts
 reach the output directory together, only when the run succeeds.
 Wall-clock timings live in their own report section because they are the
 one part of a run that cannot be reproducible.
+
+Every JSON artifact is streamed: graph.json one source row at a time
+(DebtGraph.write_json), and circuits.json, plans.json and report.json
+through dump_json, one item of a top-level list at a time. The text is
+exactly json.dumps(payload, indent=2) + "\\n", but no copy of the whole
+text is held in memory.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
 import tempfile
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import IO
 
 from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, merge_circuits, resolve_engine
 from .ledger import DebtGraph, DensityUndefinedError, IngestResult, density, ingest_csv
@@ -114,34 +123,81 @@ def circuits_lines(circuits: list[tuple[str, ...]]) -> str:
     return "".join(",".join(c) + "\n" for c in circuits)
 
 
-def circuits_json(per_component: list[ComponentCircuits], cfg: EnumerationConfig) -> str:
-    payload = {
+_ENCODER = json.JSONEncoder(indent=2)
+
+
+def dump_json(payload: dict[str, object], fh: IO[str]) -> None:
+    """Write json.dumps(payload, indent=2) + "\\n" to fh, for a payload
+    whose keys are strings. A top-level value may also be an iterator,
+    written as the list of its items.
+
+    Each item of a top-level list is encoded on its own and written at
+    once, so at most one item's text is held in memory; every other value
+    is encoded whole. An item's text is encoded at depth zero and indented
+    in place, which is safe because JSON escapes every newline inside a
+    string.
+    """
+    encode = _ENCODER.encode
+    write = fh.write
+    sep = "{\n  "
+    for key, value in payload.items():
+        write(f"{sep}{encode(key)}: ")
+        sep = ",\n  "
+        if isinstance(value, (list, tuple, Iterator)):
+            head = "[\n    "
+            for item in value:
+                write(head + encode(item).replace("\n", "\n    "))
+                head = ",\n    "
+            write("[]" if head == "[\n    " else "\n  ]")
+        else:
+            write(encode(value).replace("\n", "\n  "))
+    write("{}\n" if sep == "{\n  " else "\n}\n")
+
+
+def write_circuits_json(fh: IO[str], per_component: list[ComponentCircuits], cfg: EnumerationConfig) -> None:
+    """Write the circuits.json artifact: the cap, then each component's
+    circuits and truncation flags, one component per write."""
+    dump_json({
         "max_len": cfg.max_len,
-        "components": [
+        "components": (
             {
                 "scc_index": item.scc_index,
                 "truncated": item.result.truncated,
                 "truncation_reason": item.result.truncation_reason,
-                "circuits": [list(c) for c in item.result.circuits],
+                "circuits": item.result.circuits,  # tuples encode as lists
             }
             for item in per_component
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        ),
+    }, fh)
+
+
+def circuits_json(per_component: list[ComponentCircuits], cfg: EnumerationConfig) -> str:
+    """The write_circuits_json text as one string."""
+    buf = io.StringIO()
+    write_circuits_json(buf, per_component, cfg)
+    return buf.getvalue()
+
+
+def write_plans_json(fh: IO[str], plans: list[SettlementPlan]) -> None:
+    """Write the plans.json artifact: the grand total, then one plan per
+    write."""
+    dump_json({
+        "grand_total": sum(p.total for p in plans),
+        "plans": (p.to_dict() for p in plans),
+    }, fh)
 
 
 def plans_json(plans: list[SettlementPlan]) -> str:
-    payload = {
-        "grand_total": sum(p.total for p in plans),
-        "plans": [p.to_dict() for p in plans],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The write_plans_json text as one string."""
+    buf = io.StringIO()
+    write_plans_json(buf, plans)
+    return buf.getvalue()
 
 
 def emit_report_csv(report: RunReport) -> str:
     """Flat per-length rows with the phase timings repeated on each row,
     ready for plotting circuit counts and cost against the length cap."""
-    phases = ["ingest", "scc", "circuits", "plan", "total"]
+    phases = ["ingest", "graph_json", "scc", "circuits", "plan", "total"]
     header = "length,circuit_count," + ",".join(f"{p}_seconds" for p in phases)
     lines = [header]
     timing_cells = ",".join(f"{report.timings.get(p, 0.0):.6f}" for p in phases)
@@ -230,22 +286,26 @@ def _run_into(out: Path, cfg: PipelineConfig, engine: str, opt_cfg: OptimizerCon
     with open(cfg.input, encoding="utf-8", newline="") as fh:
         result: IngestResult = ingest_csv(fh, strict=cfg.strict)
     graph = result.graph
-    with open(out / "graph.json", "w", encoding="utf-8") as fh:
-        graph.write_json(fh)
     timings["ingest"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    partition = tarjan(graph)
-    (out / "scc_sizes.csv").write_text(scc_sizes_csv(partition), encoding="utf-8")
-    timings["scc"] = time.perf_counter() - t1
+    with open(out / "graph.json", "w", encoding="utf-8") as fh:
+        graph.write_json(fh)
+    timings["graph_json"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
+    partition = tarjan(graph)
+    (out / "scc_sizes.csv").write_text(scc_sizes_csv(partition), encoding="utf-8")
+    timings["scc"] = time.perf_counter() - t2
+
+    t3 = time.perf_counter()
     enum_cfg = cfg.enumeration()
     per_component = enumerate_graph(graph, partition, enum_cfg, engine, cfg.parallelism)
     merged = merge_circuits(per_component)
     (out / "circuits.txt").write_text(circuits_lines(merged), encoding="utf-8")
-    (out / "circuits.json").write_text(circuits_json(per_component, enum_cfg), encoding="utf-8")
-    timings["circuits"] = time.perf_counter() - t2
+    with open(out / "circuits.json", "w", encoding="utf-8") as fh:
+        write_circuits_json(fh, per_component, enum_cfg)
+    timings["circuits"] = time.perf_counter() - t3
 
     truncated = any(item.result.truncated for item in per_component)
     if truncated and cfg.strict:
@@ -253,21 +313,21 @@ def _run_into(out: Path, cfg: PipelineConfig, engine: str, opt_cfg: OptimizerCon
             "circuit enumeration was truncated; re-run lenient or raise the budgets"
         )
 
-    t3 = time.perf_counter()
+    t4 = time.perf_counter()
     plans = plan_per_scc(
         graph, partition, enum_cfg, opt_cfg, engine,
         cfg.parallelism, per_component=per_component,
     )
-    (out / "plans.json").write_text(plans_json(plans), encoding="utf-8")
-    timings["plan"] = time.perf_counter() - t3
+    with open(out / "plans.json", "w", encoding="utf-8") as fh:
+        write_plans_json(fh, plans)
+    timings["plan"] = time.perf_counter() - t4
     timings["total"] = time.perf_counter() - t0
 
     report = build_report(
         graph, partition, per_component, plans, cfg.max_len,
         len(result.rejects), timings,
     )
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        dump_json(report.to_dict(), fh)
     (out / "report.csv").write_text(emit_report_csv(report), encoding="utf-8")
     return report

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -323,7 +324,9 @@ class TestStartSearch:
         a, b, c, h = range(4)
         raw, reason = _search(g.index(), component_adjacency(g, g.vertices), EnumerationConfig())
         assert reason is None
-        assert starts == [h, a, b, c]  # ties keep position order
+        # ties keep position order; once A is done, B's and C's rows are
+        # empty at their turns, so neither is searched
+        assert starts == [h, a]
         # every circuit through H comes from H's search; the ring is left to A
         assert [r[0] for r in raw] == [h] * (len(raw) - 1) + [a]
         assert raw[-1] == (a, b, c)
@@ -332,6 +335,39 @@ class TestStartSearch:
         assert res.circuits == circuits_by_dfs(g, 8)
         assert len(res.circuits) == len(raw)
         assert all(c == canonical_rotation(c) for c in res.circuits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 9), st.integers(2, 9))
+    def test_start_with_empty_row_is_not_searched(self, seed, n, max_len):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        inner = circuits.search_from
+
+        def spy(s, index, pred, *args):
+            assert pred[s], "a start with an empty row was searched"
+            inner(s, index, pred, *args)
+
+        with mock.patch.object(circuits, "search_from", spy):
+            got = enumerate_whole(g, EnumerationConfig(max_len=max_len))
+        assert got == circuits_by_dfs(g, max_len)
+
+    def test_start_whose_only_predecessor_is_done_is_not_searched(self, monkeypatch):
+        # H -> A -> H and H -> B -> H: H scores 2 x 2 and goes first; then
+        # A's and B's only predecessor is done, so their rows are empty
+        g = graph_of([("H", "A", 1), ("A", "H", 1), ("H", "B", 1), ("B", "H", 1)])
+        starts = []
+        inner = circuits.search_from
+
+        def spy(s, *args):
+            starts.append(s)
+            inner(s, *args)
+
+        monkeypatch.setattr(circuits, "search_from", spy)
+        a, b, h = range(3)
+        raw, reason = _search(g.index(), component_adjacency(g, g.vertices), EnumerationConfig())
+        assert reason is None and starts == [h]
+        assert sorted(raw) == [(h, a), (h, b)]
+        assert enumerate_circuits(g, g.vertices).circuits == circuits_by_dfs(g, 8)
 
     def test_rows_hold_members_only_at_graph_positions(self):
         # C sits between A and E in the index but is left out of the rows

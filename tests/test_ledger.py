@@ -317,6 +317,33 @@ class TestRowInlineIngest:
             assert got == expected
 
 
+def kept_once(graph: DebtGraph) -> bool:
+    """Whether every edge key is the very object held in graph.vertices."""
+    kept = {id(v) for v in graph.vertices}
+    return all(id(u) in kept and all(id(v) in kept for v in row) for u, row in graph._adj.items())
+
+
+class TestOneStringPerCompany:
+    """ingest_csv keeps one string object per company: the id parsed from a
+    later row is replaced by the object the first accepted row added."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(csv_rows, max_size=12))
+    # multi-character ids: CPython shares one-character strings anyway
+    @example([["I1", "C ", "Dx", "5", "2020-01-01"], ["I2", "C ", "Dx", "7", "2020-01-01"],
+              ["I3", "Dx", "C ", "5", "2020-01-01"]])
+    @example([["I1", "C ", "Dx", "5", "2020-01-01"], ["I2", "C ", "Dx", "7", "2020-01-01"],
+              ["I2", "Dx", "C ", "5", "2020-01-01"], ["I3", "Dx", "C ", "5", "2020-01-01"]])
+    def test_edge_keys_are_the_vertex_objects(self, rows):
+        text = csv_text(rows)
+        for strict in (True, False):
+            try:
+                result = ingest_csv(io.StringIO(text, newline=""), strict=strict)
+            except InvoiceError:
+                continue
+            assert kept_once(result.graph)
+
+
 class TestDensity:
     def test_three_vertices_three_edges(self, intro_graph):
         assert density(intro_graph) == Fraction(1, 2)

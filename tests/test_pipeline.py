@@ -1,12 +1,26 @@
 from __future__ import annotations
 
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netcycle import PipelineConfig, RunReport, TruncatedInStrictMode, run_pipeline
-from netcycle.pipeline import emit_report_csv
+from netcycle import (
+    ComponentCircuits,
+    EnumerationConfig,
+    EnumerationResult,
+    PipelineConfig,
+    PlanStep,
+    RunReport,
+    SettlementPlan,
+    TruncatedInStrictMode,
+    run_pipeline,
+)
+from netcycle.pipeline import circuits_json, dump_json, emit_report_csv, plans_json, write_plans_json
 
 INTRO_CSV = (
     "invoice_id,debtor,creditor,amount_minor,issue_date\n"
@@ -144,7 +158,8 @@ class TestReportCsv:
     def test_empty_report_is_header_only(self):
         text = emit_report_csv(RunReport())
         assert text.splitlines() == [
-            "length,circuit_count,ingest_seconds,scc_seconds,circuits_seconds,plan_seconds,total_seconds"
+            "length,circuit_count,ingest_seconds,graph_json_seconds,scc_seconds,"
+            "circuits_seconds,plan_seconds,total_seconds"
         ]
 
     def test_roundtrip_from_json(self, tmp_path):
@@ -152,3 +167,134 @@ class TestReportCsv:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         again = emit_report_csv(RunReport.from_dict(payload))
         assert again == (tmp_path / "out" / "report.csv").read_text()
+
+
+# Ids that the encoder must escape: quotes, backslashes, control
+# characters, non-ASCII and astral characters.
+tricky_ids = st.text(
+    st.one_of(st.sampled_from('"\\\n\t\x00\x1féЖ\u2028\U0001f600'), st.characters()),
+    min_size=1, max_size=6,
+)
+id_circuits = st.lists(tricky_ids, min_size=2, max_size=5).map(tuple)
+reasons = st.sampled_from([None, "max_circuits", "time_budget", 'odd "reason"\n'])
+components = st.builds(
+    lambda i, circuits, truncated, reason: ComponentCircuits(i, EnumerationResult(circuits, truncated, reason)),
+    st.integers(0, 10**6), st.lists(id_circuits, max_size=4), st.booleans(), reasons,
+)
+plans = st.builds(
+    SettlementPlan,
+    steps=st.lists(st.builds(PlanStep, id_circuits, st.integers(1, 10**15), st.integers(1, 10**15)), max_size=3),
+    total=st.integers(0, 10**15),
+    skipped=st.lists(id_circuits, max_size=2),
+    mode=st.sampled_from(["exact", "greedy"]),
+    scc_index=st.one_of(st.none(), st.integers(0, 10**6)),
+    truncated=st.booleans(),
+    truncation_reason=reasons,
+)
+histograms = st.dictionaries(st.integers(1, 10**6), st.integers(0, 10**6), max_size=4)
+floats = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def reports(draw) -> RunReport:
+    report = RunReport()
+    report.company_count = draw(st.integers(0, 10**6))
+    report.density = draw(st.one_of(st.none(), st.just("1/2")))
+    report.density_float = draw(floats)
+    report.scc_size_histogram = draw(histograms)
+    report.circuits_by_length = draw(histograms)
+    report.truncated = draw(st.booleans())
+    report.per_scc_totals = [p.to_dict() for p in draw(st.lists(plans, max_size=3))]
+    report.circuits_to_steps_ratio = draw(floats)
+    report.timings = draw(st.dictionaries(st.sampled_from(["ingest", "graph_json", "total"]), st.floats(0, 100)))
+    return report
+
+
+def reference_circuits_json(per_component, cfg) -> str:
+    payload = {
+        "max_len": cfg.max_len,
+        "components": [
+            {
+                "scc_index": item.scc_index,
+                "truncated": item.result.truncated,
+                "truncation_reason": item.result.truncation_reason,
+                "circuits": [list(c) for c in item.result.circuits],
+            }
+            for item in per_component
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def dumped(payload) -> str:
+    buf = io.StringIO()
+    dump_json(payload, buf)
+    return buf.getvalue()
+
+
+class TestStreamedJson:
+    """dump_json writes json.dumps(payload, indent=2) + "\\n" one top-level
+    list item at a time."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(components, max_size=4), st.integers(2, 12))
+    def test_circuits_json_matches_json_dumps(self, per_component, max_len):
+        cfg = EnumerationConfig(max_len)
+        assert circuits_json(per_component, cfg) == reference_circuits_json(per_component, cfg)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(plans, max_size=4))
+    def test_plans_json_matches_json_dumps(self, items):
+        payload = {"grand_total": sum(p.total for p in items), "plans": [p.to_dict() for p in items]}
+        assert plans_json(items) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(reports())
+    def test_report_json_matches_json_dumps(self, report):
+        payload = report.to_dict()
+        assert dumped(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_empty_payloads(self):
+        for payload in ({}, {"plans": []}, {"grand_total": 0, "plans": [], "note": {}}):
+            assert dumped(payload) == json.dumps(payload, indent=2) + "\n"
+        assert dumped({"plans": iter([])}) == dumped({"plans": []})
+
+    def test_one_write_per_plan(self):
+        items = [
+            SettlementPlan([PlanStep(("A", "B"), 5, 10)], 10, [("A", "C")], "exact", i) for i in range(5)
+        ]
+        chunks: list[str] = []
+
+        class Recorder:
+            def write(self, text: str) -> None:
+                chunks.append(text)
+
+        write_plans_json(Recorder(), items)
+        assert "".join(chunks) == plans_json(items)
+        with_plans = [chunk for chunk in chunks if '"scc_index"' in chunk]
+        assert [chunk.count('"scc_index"') for chunk in with_plans] == [1] * len(items)
+
+    def test_peak_memory_is_a_fraction_of_the_text(self):
+        items = [
+            SettlementPlan(
+                [PlanStep(tuple(f"company-{i:05d}-{k}" for k in range(6)), 1_000 + i, 6_000 + 6 * i)],
+                6_000 + 6 * i, [], "exact", i,
+            )
+            for i in range(2_000)
+        ]
+
+        class Sink:
+            size = 0
+
+            def write(self, text: str) -> None:
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_plans_json(sink, items)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(plans_json(items))
+        assert peak < sink.size / 2
