@@ -30,7 +30,6 @@ from .ledger import (
     canonical_rotation,
     circuit_value,
     density,
-    ingest,
     ingest_csv,
     settle,
     write_invoices_csv,

@@ -18,20 +18,20 @@ w only if a circuit through w still fits the cap. The hub-first start
 order follows degeneracy-style orderings (Eppstein, Löffler & Strash,
 ISAAC 2010).
 
-Vertices are positions in the graph's shared sorted index (id order), and
-successors are read from its CSR rows. Only the component's predecessor
-rows are built; a successor outside the component has no distance back to
-s, so the search stays in the induced subgraph.
+Vertices are positions in the graph's shared sorted index (id order), as
+Tarjan's partition lists them, and successors are read from its CSR rows.
+Only the component's predecessor rows are built; a successor outside the
+component has no distance back to s, so the search stays in the induced
+subgraph. Ids come back only for the finished circuits.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ledger import Circuit, CompanyId, DebtGraph, GraphIndex, canonical_rotation
+from .ledger import Circuit, DebtGraph, GraphIndex, canonical_rotation
 from .scc import SccPartition, nontrivial_components
 
 
@@ -95,20 +95,13 @@ class _Stop(Exception):
     pass
 
 
-def component_adjacency(g: DebtGraph, component: Iterable[CompanyId]) -> dict[int, list[int]]:
-    """The predecessor rows of the component's induced subgraph, keyed by
-    each member's position in g.index(), in ascending order. A row lists
-    only members, ascending. A company absent from g has no row."""
+def component_adjacency(g: DebtGraph, component: Iterable[int]) -> dict[int, list[int]]:
+    """The predecessor rows of the induced subgraph on `component`,
+    positions in g.index() listed ascending as Tarjan lists them, keyed in
+    that order. A row lists only members, ascending."""
     index = g.index()
-    verts, indptr, indices = index.verts, index.indptr, index.indices
-    pred: dict[int, list[int]] = {}
-    p = 0
-    # Tarjan's members come sorted, so this sort is linear; a repeated id
-    # bisects to the same position and is harmless.
-    for v in sorted(component):
-        p = bisect_left(verts, v, p)
-        if p < len(verts) and verts[p] == v:
-            pred[p] = []
+    indptr, indices = index.indptr, index.indices
+    pred: dict[int, list[int]] = {p: [] for p in component}
     for p in pred:
         for w in indices[indptr[p]:indptr[p + 1]]:
             row = pred.get(w)
@@ -216,13 +209,13 @@ def _search(
 
 def enumerate_circuits(
     g: DebtGraph,
-    component: Iterable[CompanyId],
+    component: Iterable[int],
     cfg: EnumerationConfig | None = None,
 ) -> EnumerationResult:
-    """All elementary circuits of the component's induced subgraph with
-    length <= cfg.max_len, each once, canonical rotation, in lexicographic
-    order. A hit budget yields a truncated partial result (see
-    EnumerationConfig)."""
+    """All elementary circuits, as ids, of length <= cfg.max_len of the
+    subgraph induced by `component` (ascending positions in g.index()),
+    each once, canonical rotation, in lexicographic order. A hit budget
+    yields a truncated partial result (see EnumerationConfig)."""
     cfg = cfg or EnumerationConfig()
     index = g.index()
     raw, reason = _search(index, component_adjacency(g, component), cfg)
@@ -253,7 +246,7 @@ def enumerate_graph(
         for comp in nontrivial_components(partition)
     ]
 
-    def run(job: tuple[int, list[CompanyId]]) -> ComponentCircuits:
+    def run(job: tuple[int, list[int]]) -> ComponentCircuits:
         idx, comp = job
         return ComponentCircuits(idx, enumerate_circuits(g, comp, cfg))
 

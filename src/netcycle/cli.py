@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import traceback
+from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -131,20 +132,30 @@ def _load_graph(path: str) -> DebtGraph:
     return DebtGraph.from_json(_read_text(path))
 
 
-def _check_circuit(circuit: tuple, partition: SccPartition, locator: str) -> None:
-    """A circuit read from a file must be elementary and name only companies
-    of the graph: a repeated company would settle one edge twice."""
+def _check_circuit(circuit: tuple, graph: DebtGraph, partition: SccPartition, locator: str) -> int:
+    """The index of the component that holds a circuit read from a file.
+    The circuit must be elementary, since a repeated company would settle
+    one edge twice, and name only companies of the graph, all in one
+    component, as every circuit of the graph is."""
     if (len(circuit) < 2 or not all(isinstance(v, str) for v in circuit)
             or len(set(circuit)) != len(circuit)):
         raise InvoiceError(locator, f"not an elementary circuit: {list(circuit)!r}")
+    verts = graph.index().verts
+    found = set()
     for company in circuit:
-        if company not in partition.component_of:
+        if company not in graph:
             raise InvoiceError(locator, f"company {company!r} is not in the graph")
+        found.add(partition.component_of[bisect_left(verts, company)])
+    if len(found) > 1:
+        raise InvoiceError(locator, f"circuit {list(circuit)!r} spans more than one component")
+    return found.pop()
 
 
 def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> list[ComponentCircuits]:
     """Read circuits from a structured .json artifact or plain canonical
-    lines, grouped per component."""
+    lines, grouped per component. A .json entry's scc_index must name a
+    component of `partition` that no other entry names and that holds
+    every circuit of the entry."""
     text = _read_text(path)
     if path.endswith(".json"):
         try:
@@ -161,17 +172,26 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
             ]
         except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise InvoiceError(path, f"not a circuits artifact: {err!r}") from None
+        listed: set[int] = set()
         for item in components:
+            idx = item.scc_index
+            # bool is an int subclass; True must not name component 1
+            if type(idx) is not int or not 0 <= idx < len(partition.components):
+                raise InvoiceError(path, f"scc_index {idx!r} names no component of the graph")
+            if idx in listed:
+                raise InvoiceError(path, f"component {idx} is listed twice")
+            listed.add(idx)
+            locator = f"{path} component {idx}"
             for circuit in item.result.circuits:
-                _check_circuit(circuit, partition, f"{path} component {item.scc_index}")
+                if _check_circuit(circuit, graph, partition, locator) != idx:
+                    raise InvoiceError(locator, f"circuit {list(circuit)!r} is not in component {idx}")
         return components
     groups: dict[int, list[tuple[str, ...]]] = {}
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         circuit = tuple(line.strip().split(","))
-        _check_circuit(circuit, partition, f"{path} line {n}")
-        groups.setdefault(partition.component_of[circuit[0]], []).append(circuit)
+        groups.setdefault(_check_circuit(circuit, graph, partition, f"{path} line {n}"), []).append(circuit)
     return [
         ComponentCircuits(idx, EnumerationResult(sorted(cs)))
         for idx, cs in sorted(groups.items())

@@ -389,30 +389,13 @@ def _check_invoice(inv: Invoice, seen_ids: set[str], locator: str) -> None:
     _check_amount(inv.amount, locator)
 
 
-def ingest(records: Iterable[Invoice], *, strict: bool = True) -> IngestResult:
-    """Validate and aggregate invoices into a debt graph.
-
-    Strict mode aborts on the first invalid record; lenient mode skips it
-    and reports it in the result. The graph contains exactly the companies
-    mentioned by accepted invoices; parallel invoices sum onto one edge.
-    """
-    graph = DebtGraph()
-    rejects: list[RejectedRecord] = []
-    seen_ids: set[str] = set()
-    accepted = 0
-    for i, inv in enumerate(records):
-        locator = f"record {i + 1}"
-        try:
-            _check_invoice(inv, seen_ids, locator)
-        except InvoiceError as err:
-            if strict:
-                raise
-            rejects.append(RejectedRecord(err.locator, err.reason))
-            continue
-        seen_ids.add(inv.invoice_id)
-        graph.add_obligation(inv.debtor, inv.creditor, inv.amount)
-        accepted += 1
-    return IngestResult(graph, accepted, rejects)
+def _iso_date(raw: str) -> date:
+    """`raw` as a date if it is YYYY-MM-DD, else ValueError. From Python
+    3.11 fromisoformat also takes 20200101, 2020-W01-1 and other forms, of
+    which only YYYY-MM-DD has ten characters and a dash eighth."""
+    if len(raw) != 10 or raw[7] != "-":
+        raise ValueError(f"not YYYY-MM-DD: {raw!r}")
+    return date.fromisoformat(raw)
 
 
 def _parse_row(fields: list[str], locator: str) -> Invoice:
@@ -427,7 +410,7 @@ def _parse_row(fields: list[str], locator: str) -> Invoice:
     if not (raw_amount.isascii() and raw_amount.isdigit()):
         raise InvoiceError(locator, f"amount_minor is not ASCII digits: {raw_amount!r}")
     try:
-        issued = date.fromisoformat(raw_date)
+        issued = _iso_date(raw_date)
     except ValueError:
         raise InvoiceError(locator, f"issue_date is not an ISO date: {raw_date!r}")
     return Invoice(invoice_id, debtor, creditor, int(raw_amount), issued)
@@ -474,7 +457,7 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
     """Read, validate and aggregate an invoice CSV in one pass.
 
     A row is accepted if it has the five header fields, none empty, an
-    amount of ASCII digits above zero, an ISO issue date, an invoice id
+    amount of ASCII digits above zero, a YYYY-MM-DD issue date, an invoice id
     not accepted before, and two different company ids free of ',', '\\r'
     and '\\n'. Rows that fail are explained by _parse_row, with a line
     locator, or by _check_invoice, with an invoice locator: strict mode
@@ -501,7 +484,8 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
         else:
             d, c = ids.get(debtor), ids.get(creditor)
             ok = (
-                invoice_id and invoice_id not in seen_ids
+                len(raw_date) == 10 and raw_date[7] == "-"  # _iso_date's rule, inline
+                and invoice_id and invoice_id not in seen_ids
                 and raw_amount.isascii() and raw_amount.isdigit() and (amount := int(raw_amount)) > 0
                 and debtor != creditor
                 # the ids in `ids` passed _plain_ids when they were added

@@ -28,7 +28,8 @@ class OracleBudget:
 
 def scc_by_closure(g: DebtGraph, budget: OracleBudget | None = None) -> SccPartition:
     """Partition by mutual reachability, from a Floyd-Warshall style boolean
-    closure over bitmask rows."""
+    closure over bitmask rows. Vertices are numbered in sorted id order,
+    the order of g.index(), so components list positions as tarjan's do."""
     budget = budget or OracleBudget()
     verts = sorted(g.vertices)
     n = len(verts)
@@ -44,8 +45,8 @@ def scc_by_closure(g: DebtGraph, budget: OracleBudget | None = None) -> SccParti
         for i in range(n):
             if reach[i] & bit:
                 reach[i] |= row_k
-    components: list[list[CompanyId]] = []
-    component_of: dict[CompanyId, int] = {}
+    components: list[list[int]] = []
+    component_of = [0] * n
     assigned = [False] * n
     for i in range(n):
         if assigned[i]:
@@ -57,8 +58,8 @@ def scc_by_closure(g: DebtGraph, budget: OracleBudget | None = None) -> SccParti
         idx = len(components)
         for m in members:
             assigned[m] = True
-            component_of[verts[m]] = idx
-        components.append([verts[m] for m in members])
+            component_of[m] = idx
+        components.append(members)
     return SccPartition(components, component_of)
 
 

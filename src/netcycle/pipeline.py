@@ -81,23 +81,21 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
+        """The report of a report.json payload, field by field as to_dict
+        writes them; a missing field keeps its default. The histograms get
+        their int keys back, and circuits_by_length's counts are checked."""
+        if not isinstance(payload, dict):
+            raise TypeError(f"a report is a JSON object, not a {type(payload).__name__}")
         report = cls()
-        report.company_count = payload.get("company_count", 0)
-        report.edge_count = payload.get("edge_count", 0)
-        report.density = payload.get("density")
-        report.density_float = payload.get("density_float")
-        report.scc_count = payload.get("scc_count", 0)
-        report.scc_size_histogram = {int(k): v for k, v in payload.get("scc_size_histogram", {}).items()}
-        report.circuit_count = payload.get("circuit_count", 0)
-        report.circuits_by_length = {int(k): _count(v) for k, v in payload.get("circuits_by_length", {}).items()}
-        report.truncated = payload.get("truncated", False)
-        report.per_scc_totals = payload.get("per_scc_totals", [])
-        report.grand_total = payload.get("grand_total", 0)
-        report.settled_steps = payload.get("settled_steps", 0)
-        report.skipped_circuits = payload.get("skipped_circuits", 0)
-        report.circuits_to_steps_ratio = payload.get("circuits_to_steps_ratio")
-        report.rejected_records = payload.get("rejected_records", 0)
-        report.timings = payload.get("timings", {})
+        for f in fields(cls):
+            if f.name not in payload:
+                continue
+            value = payload[f.name]
+            if f.name == "scc_size_histogram":
+                value = {int(k): v for k, v in value.items()}
+            elif f.name == "circuits_by_length":
+                value = {int(k): _count(v) for k, v in value.items()}
+            setattr(report, f.name, value)
         return report
 
 

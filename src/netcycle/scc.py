@@ -4,41 +4,44 @@ Single-DFS lowlink computation over an explicit stack, so graphs with
 hundreds of thousands of vertices never touch the interpreter's recursion
 limit. The DFS runs over the graph's shared sorted index
 (`DebtGraph.index`), the same one the `graph.json` writer and the circuit
-search read, so it builds nothing of its own. Circuits can only exist
-inside a component, so downstream stages run per component.
+search read, so it builds nothing of its own, and lists components as
+positions in it. Circuits can only exist inside a component, so
+downstream stages run per component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ledger import CompanyId, DebtGraph
+from .ledger import DebtGraph
 
 
 @dataclass
 class SccPartition:
     """Disjoint covering of the vertex set into maximal strongly connected
-    subgraphs. Components are listed in the order the DFS finishes them
-    (reverse topological), each with its members sorted."""
+    subgraphs, in positions p of g.index() as it was when tarjan ran
+    (company g.index().verts[p]). Components are listed in the order the
+    DFS finishes them (reverse topological), each ascending, which is id
+    order; component_of[p] is the index of p's component."""
 
-    components: list[list[CompanyId]]
-    component_of: dict[CompanyId, int]
+    components: list[list[int]]
+    component_of: list[int]
 
 
 def tarjan(g: DebtGraph) -> SccPartition:
     """SCC partition in O(|V| + |E|), visiting vertices and, from each,
-    successors in ascending id order: the order of the graph's index."""
+    successors in ascending position (id) order: the graph's index."""
     index = g.index()
-    verts, indptr, indices = index.verts, index.indptr, index.indices
-    n = len(verts)
+    indptr, indices = index.indptr, index.indices
+    n = len(index.verts)
 
     UNVISITED = -1
     order = [UNVISITED] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    components: list[list[CompanyId]] = []
-    component_of: dict[CompanyId, int] = {}
+    components: list[list[int]] = []
+    component_of = [0] * n
     counter = 0
 
     for root in range(n):
@@ -73,12 +76,12 @@ def tarjan(g: DebtGraph) -> SccPartition:
                 continue
             if low[v] == order[v]:
                 comp_index = len(components)
-                members: list[CompanyId] = []
+                members: list[int] = []
                 while True:
                     u = stack.pop()
                     on_stack[u] = False
-                    members.append(verts[u])
-                    component_of[verts[u]] = comp_index
+                    members.append(u)
+                    component_of[u] = comp_index
                     if u == v:
                         break
                 members.sort()
@@ -86,7 +89,7 @@ def tarjan(g: DebtGraph) -> SccPartition:
     return SccPartition(components, component_of)
 
 
-def nontrivial_components(p: SccPartition) -> list[list[CompanyId]]:
+def nontrivial_components(p: SccPartition) -> list[list[int]]:
     """Components that can host a circuit: two or more vertices. The debt
     graph has no self-loops, so singletons never do."""
     return [c for c in p.components if len(c) >= 2]

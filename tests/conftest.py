@@ -33,6 +33,13 @@ def graph_of(edges) -> DebtGraph:
     return g
 
 
+def positions(g: DebtGraph, ids) -> list[int]:
+    """The positions in g.index() of the companies `ids`, ascending, as
+    tarjan lists a component's members."""
+    verts = g.index().verts
+    return sorted(verts.index(v) for v in ids)
+
+
 def complete_digraph(n: int, weight: int = 5) -> DebtGraph:
     g = DebtGraph()
     names = [chr(65 + i) for i in range(n)]

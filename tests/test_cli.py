@@ -230,6 +230,50 @@ def test_plan_rejects_malformed_circuits_json(tmp_path, capsys, text):
     assert "input error" in capsys.readouterr().err
 
 
+# A <-> B worth 5 each way and C -> D: components {A, B} (index 0), {D}
+# (index 1) and {C} (index 2), and 10 nettable in all.
+PAIR_CSV = (
+    "invoice_id,debtor,creditor,amount_minor,issue_date\n"
+    "I1,A,B,5,2020-01-01\n"
+    "I2,B,A,5,2020-01-01\n"
+    "I3,C,D,7,2020-01-01\n"
+)
+PAIR = {"scc_index": 0, "circuits": [["A", "B"]]}
+
+
+def _plan_from_components(tmp_path: Path, components: list) -> tuple[int, Path]:
+    csv_path = tmp_path / "pair.csv"
+    csv_path.write_text(PAIR_CSV, encoding="utf-8")
+    graph = tmp_path / "g.json"
+    assert main(["ingest", "--input", str(csv_path), "--out", str(graph)]) == 0
+    structured = tmp_path / "circuits.json"
+    structured.write_text(json.dumps({"components": components}), encoding="utf-8")
+    out = tmp_path / "plans.json"
+    return main(["plan", "--graph", str(graph), "--circuits", str(structured), "--out", str(out)]), out
+
+
+def test_plan_from_pair_components(tmp_path):
+    code, out = _plan_from_components(tmp_path, [PAIR])
+    assert code == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["grand_total"] == 10
+
+
+@pytest.mark.parametrize("components", [
+    [PAIR, PAIR],
+    [PAIR, {"scc_index": "x", "circuits": []}],
+    [{"scc_index": 99, "circuits": [["A", "B"]]}],
+    [{"scc_index": [1], "circuits": [["A", "B"]]}],
+    [{"scc_index": True, "circuits": []}],
+    [{"scc_index": 1, "circuits": [["A", "B"]]}],
+], ids=["listed-twice", "index-not-int", "index-out-of-range", "index-a-list", "index-a-bool",
+        "circuit-outside-component"])
+def test_plan_rejects_components_that_do_not_match_the_graph(tmp_path, capsys, components):
+    code, out = _plan_from_components(tmp_path, components)
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_truncation_exit_code_and_no_partial_plans(tmp_path, overlap_csv):
     out = tmp_path / "out"
     code = main(["run", "--input", str(overlap_csv), "--out-dir", str(out),

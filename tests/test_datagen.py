@@ -4,8 +4,10 @@ import io
 
 import pytest
 
-from netcycle import generate_synthetic, ingest, write_invoices_csv
+from netcycle import generate_synthetic, write_invoices_csv
 from netcycle.datagen import InfeasibleRequest
+
+from conftest import graph_of
 
 
 def csv_text(invoices) -> str:
@@ -14,9 +16,13 @@ def csv_text(invoices) -> str:
     return buf.getvalue()
 
 
+def graph_of_invoices(invoices):
+    return graph_of((i.debtor, i.creditor, i.amount) for i in invoices)
+
+
 def test_exact_counts():
     invoices = generate_synthetic(200, 600, seed=1)
-    g = ingest(invoices).graph
+    g = graph_of_invoices(invoices)
     assert len(g.vertices) == 200
     assert g.edge_count() == 600
     assert len(invoices) == 600
@@ -68,6 +74,6 @@ def test_infeasible_requests(companies, edges):
 
 def test_dense_small_request():
     invoices = generate_synthetic(4, 12, seed=2)
-    g = ingest(invoices).graph
+    g = graph_of_invoices(invoices)
     assert g.edge_count() == 12
     assert len(g.vertices) == 4

@@ -21,7 +21,6 @@ from netcycle import (
     StaleCircuitError,
     circuit_value,
     density,
-    ingest,
     ingest_csv,
     settle,
     write_invoices_csv,
@@ -29,32 +28,39 @@ from netcycle import (
 from netcycle import ledger
 from netcycle.circuits import component_adjacency, enumerate_graph
 from netcycle.scc import tarjan
-from conftest import INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of
+from conftest import INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of, positions
 
 
 def inv(i, debtor, creditor, amount):
     return Invoice(f"I{i}", debtor, creditor, amount, date(2020, 1, 1))
 
 
+def ingest_invoices(records, *, strict=True) -> IngestResult:
+    """ingest_csv over the CSV that write_invoices_csv makes of records."""
+    out = io.StringIO()
+    write_invoices_csv(out, records)
+    return ingest_csv(io.StringIO(out.getvalue(), newline=""), strict=strict)
+
+
 class TestIngest:
     def test_three_company_instance(self):
         records = [inv(i, u, v, w) for i, (u, v, w) in enumerate(INTRO_EDGES)]
-        g = ingest(records).graph
+        g = ingest_invoices(records).graph
         assert g.vertices == {"A", "B", "C"}
         assert dict(g.edges()) == {(u, v): w for u, v, w in INTRO_EDGES}
 
     def test_empty_stream(self):
-        result = ingest([])
+        result = ingest_invoices([])
         assert result.graph.vertices == set()
         assert result.graph.edge_count() == 0
 
     def test_parallel_invoices_aggregate(self):
-        g = ingest([inv(1, "A", "B", 10), inv(2, "A", "B", 15)]).graph
+        g = ingest_invoices([inv(1, "A", "B", 10), inv(2, "A", "B", 15)]).graph
         assert g.weight("A", "B") == 25
         assert g.edge_count() == 1
 
     def test_antiparallel_edges_coexist(self):
-        g = ingest([inv(1, "A", "B", 10), inv(2, "B", "A", 7)]).graph
+        g = ingest_invoices([inv(1, "A", "B", 10), inv(2, "B", "A", 7)]).graph
         assert g.weight("A", "B") == 10
         assert g.weight("B", "A") == 7
 
@@ -70,37 +76,31 @@ class TestIngest:
     )
     def test_strict_rejects(self, bad):
         with pytest.raises(InvoiceError):
-            ingest([bad])
+            ingest_invoices([bad])
 
     def test_duplicate_invoice_id(self):
         records = [inv(1, "A", "B", 10), inv(1, "B", "C", 10)]
         with pytest.raises(InvoiceError, match="duplicate"):
-            ingest(records)
-        result = ingest(records, strict=False)
+            ingest_invoices(records)
+        result = ingest_invoices(records, strict=False)
         assert result.accepted == 1
-        assert len(result.rejects) == 1
-        assert "record 2" in result.rejects[0].locator
-
-    def test_lenient_reports_locator(self):
-        result = ingest([inv(1, "A", "B", 10), inv(2, "C", "C", 5)], strict=False)
-        assert result.accepted == 1
-        assert result.rejects[0].locator == "record 2"
+        assert result.rejects == [RejectedRecord("invoice 'I1'", "duplicate invoice_id 'I1'")]
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(8))))
     def test_order_independence(self, perm):
         records = [inv(i, f"c{i % 4}", f"c{(i + 1) % 4}", 10 + i) for i in range(8)]
-        base = ingest(records).graph
-        shuffled = ingest([records[i] for i in perm]).graph
+        base = ingest_invoices(records).graph
+        shuffled = ingest_invoices([records[i] for i in perm]).graph
         assert base == shuffled
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 7))
     def test_split_linearity(self, cut):
         records = [inv(i, f"c{i % 3}", f"c{(i + 1) % 3}", 5 * i + 1) for i in range(8)]
-        whole = ingest(records).graph
-        first = ingest(records[:cut]).graph
-        second = ingest(records[cut:]).graph
+        whole = ingest_invoices(records).graph
+        first = ingest_invoices(records[:cut]).graph
+        second = ingest_invoices(records[cut:]).graph
         merged = DebtGraph()
         for part in (first, second):
             for v in part.vertices:
@@ -153,6 +153,17 @@ class TestCsv:
         assert result.accepted == 1
         assert [r.locator for r in result.rejects] == ["line 2", "line 3"]
 
+    @pytest.mark.parametrize("raw_date", ["20200101", "2020-W01-1", "2020W011", "2020-W01", "2020W01"])
+    def test_issue_date_is_yyyy_mm_dd_only(self, raw_date):
+        # from Python 3.11 date.fromisoformat accepts each of these
+        text = self.CSV + f"I4,A,B,5,{raw_date}\n"
+        with pytest.raises(InvoiceError, match="issue_date is not an ISO date") as exc:
+            ingest_csv(io.StringIO(text))
+        assert exc.value.locator == "line 5"
+        result = ingest_csv(io.StringIO(text), strict=False)
+        assert result.accepted == 3
+        assert result.rejects == [RejectedRecord("line 5", f"issue_date is not an ISO date: {raw_date!r}")]
+
     def test_amount_accepts_ascii_digits_only(self):
         header = "invoice_id,debtor,creditor,amount_minor,issue_date\n"
         bad = ["1_000", " 7", "7 ", "\u0663", "+5", "-5", "0x10", "1e3"]
@@ -167,10 +178,6 @@ class TestCsv:
 
     @pytest.mark.parametrize("company", ["X,Y", "X\nY", "X\rY"])
     def test_company_id_with_delimiter_is_rejected(self, company):
-        with pytest.raises(InvoiceError, match="company id"):
-            ingest([Invoice("I1", company, "B", 5, date(2020, 1, 1))])
-        with pytest.raises(InvoiceError, match="company id"):
-            ingest([Invoice("I1", "B", company, 5, date(2020, 1, 1))])
         text = f'invoice_id,debtor,creditor,amount_minor,issue_date\nI1,"{company}",B,5,2020-01-01\nI2,B,C,5,2020-01-01\n'
         result = ingest_csv(io.StringIO(text), strict=False)
         assert result.accepted == 1
@@ -229,6 +236,9 @@ def _reference_parse_row(row: dict, locator: str) -> Invoice:
     if not (raw_amount.isascii() and raw_amount.isdigit()):
         raise InvoiceError(locator, f"amount_minor is not ASCII digits: {raw_amount!r}")
     try:
+        # YYYY-MM-DD only: from Python 3.11 fromisoformat also takes 20200101
+        if len(row["issue_date"]) != 10 or row["issue_date"][7] != "-":
+            raise ValueError(row["issue_date"])
         issued = date.fromisoformat(row["issue_date"])
     except ValueError:
         raise InvoiceError(locator, f"issue_date is not an ISO date: {row['issue_date']!r}")
@@ -268,7 +278,8 @@ row_amounts = st.one_of(
     st.sampled_from(["0", "00", "\u0663", "+5", "1_000", " 7", "-5", ""]),
 )
 row_dates = st.one_of(
-    st.just("2020-01-01"), st.sampled_from(["2020-02-30", "yesterday", "2020-1-1", ""])
+    st.just("2020-01-01"),
+    st.sampled_from(["2020-02-30", "yesterday", "2020-1-1", "", "20200101", "2020-W01-1", "2020W011"]),
 )
 csv_rows = st.one_of(
     st.none(),
@@ -540,7 +551,7 @@ class TestGraphJson:
         write_invoices_csv(out, invoices)
         result = ingest_csv(io.StringIO(out.getvalue(), newline=""))
         assert result.accepted == len(invoices)
-        assert result.graph == ingest(invoices).graph
+        assert result.graph == graph_of((i.debtor, i.creditor, i.amount) for i in invoices)
         text = result.graph.to_json()
         assert DebtGraph.from_json(text) == result.graph
         assert DebtGraph.from_json(text).to_json() == text
@@ -614,7 +625,7 @@ class TestIndex:
     component_adjacency, and never outlives the graph state it describes."""
 
     def views(self, g: DebtGraph):
-        return g.to_json(), tarjan(g), component_adjacency(g, sorted(g.vertices))
+        return g.to_json(), tarjan(g), component_adjacency(g, positions(g, g.vertices))
 
     def test_rows_ascending_in_id_order(self, overlap_graph):
         index = overlap_graph.index()

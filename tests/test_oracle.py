@@ -18,13 +18,16 @@ from conftest import OVERLAP_CIRCUITS, complete_digraph, graph_of, random_graph
 
 def test_closure_on_cycle(intro_graph):
     p = scc_by_closure(intro_graph)
-    assert [sorted(c) for c in p.components] == [["A", "B", "C"]]
+    assert p.components == [[0, 1, 2]]
+    assert p.component_of == [0, 0, 0]
+    assert [[intro_graph.index().verts[v] for v in c] for c in p.components] == [["A", "B", "C"]]
 
 
 def test_closure_on_dag():
     g = graph_of([("A", "B", 1), ("A", "C", 1), ("B", "C", 1)])
     p = scc_by_closure(g)
-    assert all(len(c) == 1 for c in p.components)
+    assert p.components == [[0], [1], [2]]
+    assert p.component_of == [0, 1, 2]
 
 
 def test_closure_agrees_with_tarjan_at_twenty_vertices():
