@@ -43,6 +43,13 @@ def resolve_engine(engine: str | None) -> str:
     return "python"
 
 
+def check_parallelism(parallelism: int) -> None:
+    """Components run one at a time: 1 is the only parallelism, and any
+    other value is a ValueError."""
+    if parallelism != 1:
+        raise ValueError(f"parallelism must be 1, got {parallelism!r}")
+
+
 @dataclass
 class EnumerationConfig:
     """max_len caps circuit length (>= 2). max_circuits is an emit-and-stop
@@ -240,32 +247,17 @@ def enumerate_graph(
     engine: str | None = None,
     parallelism: int = 1,
 ) -> list[ComponentCircuits]:
-    """Enumerate every nontrivial component, in component index order.
-
-    Components share no edges, so they may run in parallel; results are
-    merged back by component index either way. `engine` accepts only the
-    names resolve_engine does.
+    """Enumerate every nontrivial component, one at a time, in component
+    index order. `engine` and `parallelism` accept only the values
+    resolve_engine and check_parallelism do.
     """
     resolve_engine(engine)
+    check_parallelism(parallelism)
     cfg = cfg or EnumerationConfig()
-    jobs = [
-        (partition.component_of[comp[0]], comp)
+    return [
+        ComponentCircuits(partition.component_of[comp[0]], enumerate_circuits(g, comp, cfg))
         for comp in nontrivial_components(partition)
     ]
-
-    def run(job: tuple[int, list[int]]) -> ComponentCircuits:
-        idx, comp = job
-        return ComponentCircuits(idx, enumerate_circuits(g, comp, cfg))
-
-    if parallelism > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    results.sort(key=lambda r: r.scc_index)
-    return results
 
 
 def merge_circuits(per_component: list[ComponentCircuits]) -> list[Circuit]:

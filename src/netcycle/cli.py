@@ -24,11 +24,9 @@ from .datagen import InfeasibleRequest, generate_synthetic
 from .ledger import DebtGraph, InvoiceError, canonical_rotation, circuit_edges, ingest_csv, write_invoices_csv
 from .pipeline import (
     PipelineConfig,
-    RunReport,
     TruncatedInStrictMode,
     circuits_lines,
     dump_json,
-    emit_report_csv,
     run_pipeline,
     scc_sizes_csv,
     write_circuits_json,
@@ -57,11 +55,6 @@ def _at_least(cast, low, *, strict=False, high=None):
 
     convert.__name__ = cast.__name__  # argparse names it in "invalid int value: 'x'"
     return convert
-
-
-def _add_parallelism_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--parallelism", type=_at_least(int, 1), default=1,
-                   help="components searched or planned at once (default 1)")
 
 
 def _add_enum_flags(p: argparse.ArgumentParser) -> None:
@@ -109,6 +102,14 @@ def _check_circuit(circuit: tuple, graph: DebtGraph, partition: SccPartition,
     return partition.component_of[bisect_left(graph.index().verts, circuit[0])], canonical_rotation(circuit)
 
 
+def _json_circuit(value: object) -> tuple:
+    # tuple() takes any iterable: a string would give its characters and
+    # an object its keys
+    if type(value) is not list:
+        raise TypeError(f"a circuit is a JSON array, not {value!r}")
+    return tuple(value)
+
+
 def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> list[ComponentCircuits]:
     """Read circuits from a structured .json artifact or plain canonical
     lines, grouped as `run` groups them: one entry per nontrivial
@@ -130,7 +131,7 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
     if path.endswith(".json"):
         try:
             entries = [
-                (entry["scc_index"], [tuple(c) for c in entry["circuits"]],
+                (entry["scc_index"], [_json_circuit(c) for c in entry["circuits"]],
                  entry.get("truncated", False), entry.get("truncation_reason"))
                 for entry in json.loads(text)["components"]
             ]
@@ -207,17 +208,18 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     cfg = EnumerationConfig(args.max_len, args.max_circuits, args.time_budget)
-    per_component = enumerate_graph(graph, partition, cfg, parallelism=args.parallelism)
-    merged = merge_circuits(per_component)
-    _write_or_print(circuits_lines(merged), args.out)
-    if args.json:
-        with _output(args.json) as fh:
-            write_circuits_json(fh, per_component, cfg)
+    per_component = enumerate_graph(graph, partition, cfg)
     truncated = [i.scc_index for i in per_component if i.result.truncated]
     if truncated:
         print(f"truncated components: {truncated}", file=sys.stderr)
         if not args.lenient:
+            # circuits.txt carries no truncation flag, so a strict run
+            # writes nothing that plan could take for a complete search
             return EXIT_TRUNCATED_STRICT
+    _write_or_print(circuits_lines(merge_circuits(per_component)), args.out)
+    if args.json:
+        with _output(args.json) as fh:
+            write_circuits_json(fh, per_component, cfg)
     return EXIT_OK
 
 
@@ -232,7 +234,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     plans = plan_per_scc(
         graph, partition, None,
         OptimizerConfig(mode=args.mode, exact_threshold=args.exact_threshold),
-        parallelism=args.parallelism, per_component=per_component,
+        per_component=per_component,
     )
     with _output(args.out) as fh:
         write_plans_json(fh, plans)
@@ -270,16 +272,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    text = _read_text(args.report)
-    try:
-        csv_text = emit_report_csv(RunReport.from_dict(json.loads(text)))
-    except (ValueError, TypeError, AttributeError) as err:
-        raise InvoiceError(args.report, f"not a run report: {err!r}") from None
-    _write_or_print(csv_text, args.out)
-    return EXIT_OK
-
-
 # -- parser ---------------------------------------------------------------
 
 
@@ -307,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="circuit lines path (default stdout)")
     p.add_argument("--json", default=None, help="also write the structured per-component artifact here")
     p.add_argument("--lenient", action="store_true")
-    _add_parallelism_flag(p)
     _add_enum_flags(p)
     p.set_defaults(func=cmd_circuits)
 
@@ -316,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuits", required=True, help="circuits.json or canonical lines file")
     p.add_argument("--out", default=None, help="plans JSON path (default stdout)")
     p.add_argument("--lenient", action="store_true")
-    _add_parallelism_flag(p)
     _add_plan_flags(p)
     p.set_defaults(func=cmd_plan)
 
@@ -324,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="invoice CSV")
     p.add_argument("--out-dir", required=True, help="artifact directory")
     p.add_argument("--lenient", action="store_true")
-    _add_parallelism_flag(p)
+    p.add_argument("--parallelism", type=int, choices=(1,), default=1,
+                   help="components run one at a time; 1 is the only value")
     _add_enum_flags(p)
     _add_plan_flags(p)
     p.set_defaults(func=cmd_run)
@@ -337,11 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-amount", type=int, default=10**9)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("report", help="flatten a report.json into plot-ready CSV")
-    p.add_argument("--report", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -171,7 +171,7 @@ class DebtGraph:
     def index(self) -> GraphIndex:
         """The sorted index of the graph as it is now, built on first use
         and kept until the graph changes. Two builds of one state are
-        equal, so threads sharing a graph need no lock."""
+        equal."""
         if self._index is None:
             self._index = _build_index(self.vertices, self._adj)
         return self._index

@@ -27,7 +27,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO
 
-from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, merge_circuits, resolve_engine
+from .circuits import (
+    ComponentCircuits,
+    EnumerationConfig,
+    check_parallelism,
+    enumerate_graph,
+    merge_circuits,
+    resolve_engine,
+)
 from .ledger import DebtGraph, DensityUndefinedError, IngestResult, density, ingest_csv
 from .scc import SccPartition, tarjan
 from .settlement import OptimizerConfig, SettlementPlan, plan_per_scc
@@ -78,32 +85,6 @@ class RunReport:
         are shared, not copied as dataclasses.asdict would copy every leaf
         of per_scc_totals."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunReport":
-        """The report of a report.json payload, field by field as to_dict
-        writes them; a missing field keeps its default. The histograms get
-        their int keys back, and circuits_by_length's counts are checked."""
-        if not isinstance(payload, dict):
-            raise TypeError(f"a report is a JSON object, not a {type(payload).__name__}")
-        report = cls()
-        for f in fields(cls):
-            if f.name not in payload:
-                continue
-            value = payload[f.name]
-            if f.name == "scc_size_histogram":
-                value = {int(k): v for k, v in value.items()}
-            elif f.name == "circuits_by_length":
-                value = {int(k): _count(v) for k, v in value.items()}
-            setattr(report, f.name, value)
-        return report
-
-
-def _count(value: object) -> int:
-    # bool is an int subclass; True must not pass as a count of 1
-    if type(value) is not int or value < 0:
-        raise TypeError(f"count must be a non-negative integer, got {value!r}")
-    return value
 
 
 class TruncatedInStrictMode(RuntimeError):
@@ -263,6 +244,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     failed run adds no file to cfg.out_dir.
     """
     engine = resolve_engine(cfg.engine)
+    check_parallelism(cfg.parallelism)
     opt_cfg = cfg.optimizer()  # a bad mode or threshold fails before anything is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any work

@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .circuits import ComponentCircuits, EnumerationConfig, enumerate_graph, resolve_engine
+from .circuits import ComponentCircuits, EnumerationConfig, check_parallelism, enumerate_graph, resolve_engine
 from .ledger import Circuit, CompanyId, DebtGraph, circuit_edges, settle
 from .scc import SccPartition
 
@@ -278,31 +278,25 @@ def plan_per_scc(
     parallelism: int = 1,
     per_component: list[ComponentCircuits] | None = None,
 ) -> list[SettlementPlan]:
-    """One plan per nontrivial component, in component index order.
+    """One plan per nontrivial component, one at a time, in component
+    index order.
 
     Components share no edges, so plans commute and the grand total is the
-    sum of plan totals. Pre-enumerated circuits may be passed to avoid
-    re-running enumeration; truncation flags carry into the plans. `engine`
-    accepts only the names resolve_engine does.
+    sum of plan totals. Pre-enumerated circuits may be passed, in any
+    order, to avoid re-running enumeration; truncation flags carry into the
+    plans. `engine` and `parallelism` accept only the values resolve_engine
+    and check_parallelism do.
     """
     resolve_engine(engine)
+    check_parallelism(parallelism)
     opt_cfg = opt_cfg or OptimizerConfig()
     if per_component is None:
         per_component = enumerate_graph(g, partition, enum_cfg, engine, parallelism)
-
-    def run(item: ComponentCircuits) -> SettlementPlan:
+    plans = []
+    for item in sorted(per_component, key=lambda item: item.scc_index):
         plan = optimize_order(g, item.result.circuits, opt_cfg)
         plan.scc_index = item.scc_index
         plan.truncated = item.result.truncated
         plan.truncation_reason = item.result.truncation_reason
-        return plan
-
-    if parallelism > 1 and len(per_component) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            plans = list(pool.map(run, per_component))
-    else:
-        plans = [run(item) for item in per_component]
-    plans.sort(key=lambda p: p.scc_index if p.scc_index is not None else -1)
+        plans.append(plan)
     return plans

@@ -278,13 +278,19 @@ def test_plan_rejects_circuits_that_cannot_be_settled(tmp_path, capsys, line):
     '{"components": [{"circuits": [["A", "B", "C"]]}]}',
     '{"components": [{"scc_index": 0}]}',
     '{"components": [{"scc_index": 0, "circuits": [[["A"], "B", "C"]]}]}',
+    # a circuit is an array; a string or an object must not pass as its
+    # characters or its keys
+    '{"components": [{"scc_index": 0, "circuits": ["ABC"]}]}',
+    '{"components": [{"scc_index": 0, "circuits": [{"A": 1, "B": 2, "C": 3}]}]}',
 ])
 def test_plan_rejects_malformed_circuits_json(tmp_path, capsys, text):
     graph = _intro_graph(tmp_path)
     structured = tmp_path / "circuits.json"
     structured.write_text(text, encoding="utf-8")
-    assert main(["plan", "--graph", str(graph), "--circuits", str(structured)]) == 2
+    out = tmp_path / "plans.json"
+    assert main(["plan", "--graph", str(graph), "--circuits", str(structured), "--out", str(out)]) == 2
     assert "input error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # A <-> B worth 5 each way, C -> D and E <-> F worth 1 each way:
@@ -355,29 +361,29 @@ def test_truncation_exit_code_and_no_partial_plans(tmp_path, overlap_csv):
     assert (out / "plans.json").exists()
 
 
+def test_strict_circuits_truncation_writes_nothing(tmp_path, overlap_csv, capsys):
+    graph = tmp_path / "g.json"
+    assert main(["ingest", "--input", str(overlap_csv), "--out", str(graph)]) == 0
+    txt, structured = tmp_path / "c.txt", tmp_path / "c.json"
+    capsys.readouterr()
+    flags = ["circuits", "--graph", str(graph), "--max-circuits", "1"]
+    assert main([*flags, "--out", str(txt), "--json", str(structured)]) == 3
+    assert not txt.exists() and not structured.exists()
+    assert main(flags) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncated components: [0]" in captured.err
+    assert main([*flags, "--lenient", "--out", str(txt), "--json", str(structured)]) == 0
+    assert len(txt.read_text(encoding="utf-8").splitlines()) == 1
+    assert json.loads(structured.read_text(encoding="utf-8"))["components"][0]["truncated"] is True
+
+
 def test_environment_sets_no_flag(tmp_path, overlap_csv, capsys, monkeypatch):
     monkeypatch.setenv("NETCYCLE_RUN_MAX_LEN", "3")
     monkeypatch.setenv("NETCYCLE_RUN_MODE", "bogus")
     assert main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "out")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert list(report["circuits_by_length"]) == [str(n) for n in range(2, 9)]
-
-
-@pytest.mark.parametrize("text", [
-    "not json",
-    "[1,2]",
-    '{"circuits_by_length": {"x": 1}}',
-    '{"timings": {"total": "slow"}, "circuits_by_length": {"2": 1}}',
-    '{"circuits_by_length": {"2": "x"}}',
-    '{"circuits_by_length": {"2": true}}',
-    '{"circuits_by_length": {"2": 1.5}}',
-    '{"circuits_by_length": {"2": -1}}',
-])
-def test_malformed_report_json_is_input_error(tmp_path, capsys, text):
-    report = tmp_path / "report.json"
-    report.write_text(text, encoding="utf-8")
-    assert main(["report", "--report", str(report)]) == 2
-    assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -388,6 +394,7 @@ def test_malformed_report_json_is_input_error(tmp_path, capsys, text):
     ("--time-budget", "0"),
     ("--time-budget", "nan"),
     ("--parallelism", "0"),
+    ("--parallelism", "2"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, overlap_csv, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -443,6 +450,17 @@ def test_refused_run_adds_no_file(tmp_path, flags, code):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.csv", "out"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--report", "report.json"],
+    ["circuits", "--graph", "g.json", "--parallelism", "1"],
+    ["plan", "--graph", "g.json", "--circuits", "c.txt", "--parallelism", "1"],
+], ids=["report", "circuits-parallelism", "plan-parallelism"])
+def test_removed_subcommand_and_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_unknown_mode_is_usage_error_and_writes_nothing(tmp_path, overlap_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o"), "--mode", "bogus"])
@@ -462,15 +480,6 @@ def test_file_as_out_dir_is_input_error(tmp_path, overlap_csv, capsys):
     assert main(["run", "--input", str(overlap_csv), "--out-dir", str(occupied)]) == 2
     assert "input error" in capsys.readouterr().err
     assert occupied.read_text(encoding="utf-8") == "keep\n"
-
-
-def test_report_subcommand(tmp_path, overlap_csv, capsys):
-    out = tmp_path / "out"
-    main(["run", "--input", str(overlap_csv), "--out-dir", str(out)])
-    capsys.readouterr()
-    assert main(["report", "--report", str(out / "report.json")]) == 0
-    text = capsys.readouterr().out
-    assert text == (out / "report.csv").read_text()
 
 
 def test_scc_output(tmp_path, overlap_csv, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from netcycle import (
     ComponentCircuits,
+    DebtGraph,
     EnumerationConfig,
     EnumerationResult,
     PipelineConfig,
@@ -18,7 +19,10 @@ from netcycle import (
     RunReport,
     SettlementPlan,
     TruncatedInStrictMode,
+    enumerate_graph,
+    plan_per_scc,
     run_pipeline,
+    tarjan,
 )
 from netcycle.pipeline import circuits_json, dump_json, emit_report_csv, plans_json, write_plans_json
 
@@ -133,15 +137,19 @@ def test_repeat_runs_are_identical_modulo_timings(tmp_path):
     assert strip_timings(tmp_path / "a") == strip_timings(tmp_path / "b")
 
 
-def test_parallelism_does_not_change_artifacts(tmp_path):
-    from netcycle import generate_synthetic, write_invoices_csv
-
-    path = tmp_path / "gen.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_invoices_csv(fh, generate_synthetic(80, 240, seed=13))
-    run_pipeline(PipelineConfig(path, tmp_path / "seq", max_len=5))
-    run_pipeline(PipelineConfig(path, tmp_path / "par", max_len=5, parallelism=4))
-    assert strip_timings(tmp_path / "seq") == strip_timings(tmp_path / "par")
+def test_parallelism_other_than_one_is_refused(tmp_path):
+    path = write_csv(tmp_path, OVERLAP_CSV)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="parallelism"):
+        run_pipeline(PipelineConfig(path, out, parallelism=2))
+    assert not out.exists()
+    run_pipeline(PipelineConfig(path, out))
+    graph = DebtGraph.from_json((out / "graph.json").read_text(encoding="utf-8"))
+    partition = tarjan(graph)
+    with pytest.raises(ValueError, match="parallelism"):
+        enumerate_graph(graph, partition, None, None, 2)
+    with pytest.raises(ValueError, match="parallelism"):
+        plan_per_scc(graph, partition, None, None, None, 2)
 
 
 class TestReportCsv:
@@ -161,12 +169,6 @@ class TestReportCsv:
             "length,circuit_count,ingest_seconds,graph_json_seconds,scc_seconds,"
             "circuits_seconds,plan_seconds,total_seconds"
         ]
-
-    def test_roundtrip_from_json(self, tmp_path):
-        report = run_pipeline(PipelineConfig(write_csv(tmp_path, OVERLAP_CSV), tmp_path / "out"))
-        payload = json.loads((tmp_path / "out" / "report.json").read_text())
-        again = emit_report_csv(RunReport.from_dict(payload))
-        assert again == (tmp_path / "out" / "report.csv").read_text()
 
 
 # Ids that the encoder must escape: quotes, backslashes, control
