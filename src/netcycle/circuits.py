@@ -5,18 +5,22 @@ subgraph. Starts go from the highest degree score down, where the score
 is a vertex's in-degree inside the component times its out-degree, ties
 by position: hubs close the most circuits, and searching them first
 leaves the many low-degree starts a sparser graph. A finished start
-leaves every predecessor row, so later searches cannot reach it, and
-every circuit is found exactly once, from whichever of its vertices was
-searched first. Each raw circuit is then rotated to start at its smallest
-vertex and the component's list is sorted, so the output is in canonical
-rotation and lexicographic order whatever the start order.
+leaves the predecessor rows, its own included, so later searches cannot
+reach it, and every circuit is found exactly once, from whichever of its
+vertices was searched first. Each raw circuit is then rotated to start
+at its smallest vertex and the component's list is sorted, so the output
+is in canonical rotation and lexicographic order whatever the start
+order.
 
 The search is length-aware (after Gupta & Suzumura, "Finding All
 Bounded-Length Simple Cycles in a Directed Graph", 2021): a reverse BFS
 from s gives each vertex's hop distance back to s, and the path extends to
-w only if a circuit through w still fits the cap. The hub-first start
-order follows degeneracy-style orderings (Eppstein, Löffler & Strash,
-ISAAC 2010).
+w only if a circuit through w still fits the cap. The BFS stops at
+max_len - 2 hops, short of the ball's largest layer: a vertex max_len - 1
+hops back fits only as s's first step, so only s's own successors get
+that distance, each from its successor row. The hub-first start order
+follows degeneracy-style orderings (Eppstein, Löffler & Strash, ISAAC
+2010).
 
 Vertices are positions in the graph's shared sorted index (id order), as
 Tarjan's partition lists them, and successors are read from its CSR rows.
@@ -124,14 +128,22 @@ def component_adjacency(g: DebtGraph, component: Iterable[int]) -> dict[int, lis
     return pred
 
 
-def distances_to(s: int, pred: dict[int, list[int]], depth: int) -> dict[int, int]:
+def distances_to(s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int) -> dict[int, int]:
     """Fewest hops from each vertex back to s along the rows of `pred`, for
-    the vertices within `depth` hops; s itself is at 0. Starts searched
-    before s are no longer in any row (see _search), so they get no
-    distance."""
+    every vertex a circuit of length <= max_len through s can use; s itself
+    is at 0. Starts searched before s are no longer in `pred` (see
+    _search), so they get no distance.
+
+    The reverse BFS stops at max_len - 2 hops. Its next layer would be its
+    largest, and search_from can use a vertex max_len - 1 hops back only as
+    a successor of s. So only those are resolved, one hop at a time: a live
+    successor w of s with no distance yet is at max_len - 1 if one of w's
+    own successors is at max_len - 2. A BFS that runs out of vertices
+    earlier has already found every distance.
+    """
     dist = {s: 0}
     frontier = [s]
-    for d in range(1, depth + 1):
+    for d in range(1, max_len - 1):
         nxt = []
         for w in frontier:
             for u in pred[w]:
@@ -139,8 +151,16 @@ def distances_to(s: int, pred: dict[int, list[int]], depth: int) -> dict[int, in
                     dist[u] = d
                     nxt.append(u)
         if not nxt:
-            break
+            return dist
         frontier = nxt
+    indptr, indices = index.indptr, index.indices
+    last = max_len - 2
+    for w in indices[indptr[s]:indptr[s + 1]]:
+        if w not in dist and w in pred:
+            for x in indices[indptr[w]:indptr[w + 1]]:
+                if dist.get(x) == last:
+                    dist[w] = max_len - 1
+                    break
     return dist
 
 
@@ -156,9 +176,13 @@ def search_from(
     a member and not an earlier start), w is off the path and
     len(path) + dist[w] <= max_len, i.e. a circuit through w can still fit
     the cap. Only distances to s prune, so nothing within the cap is lost.
+    A vertex max_len - 1 hops back passes only while len(path) == 1, as a
+    successor of s, so distances_to gives that distance to s's successors
+    alone (see there); every other vertex meets the same test as with the
+    full ball.
     """
     indptr, indices = index.indptr, index.indices
-    dist = distances_to(s, pred, max_len - 1)
+    dist = distances_to(s, index, pred, max_len)
     path = [s]
     on_path = {s}
 
@@ -198,7 +222,8 @@ def _search(
 ) -> tuple[list[tuple[int, ...]], str | None]:
     """Every start, from the highest score len(pred[p]) * out-degree(p)
     down, ties by ascending position. Consumes `pred`: a finished start
-    leaves its successors' rows, so no later search reaches it. A start
+    leaves its successors' rows and `pred` itself, so no later search
+    reaches it, not even through distances_to's one-hop step. A start
     whose own row is already empty at its turn closes no circuit and is
     not searched. Raw circuits start at their start vertex, in search
     order."""
@@ -216,6 +241,7 @@ def _search(
                 row = pred.get(w)
                 if row is not None:
                     row.remove(s)
+            del pred[s]
     except _Stop:
         return out, budget.reason
     return out, None

@@ -170,7 +170,13 @@ def _exact_order(
                 found = (total, amounts, ((i, x),) + steps)
         return found
 
-    total, _, sequence = best([i for i in range(len(order)) if all([w[e] for e in edges[i]])])
+    try:
+        total, _, sequence = best([i for i in range(len(order)) if all([w[e] for e in edges[i]])])
+    finally:
+        # best's closure holds best itself; unbinding it breaks that
+        # reference cycle, so the memo is freed at once instead of waiting
+        # for the cyclic collector.
+        del best
     steps = [PlanStep(order[i], x, x * k[i]) for i, x in sequence]
     taken = {i for i, _ in sequence}
     skipped = [c for i, c in enumerate(order) if i not in taken]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -24,6 +25,21 @@ ABCD = ("A", "B", "C", "D")
 ABDEF = ("A", "B", "D", "E", "F")
 BCGH = ("B", "C", "G", "H")
 OVERLAP_CIRCUITS = [ABCD, ABDEF, BCGH]
+
+
+def cyclic_garbage(call):
+    """call()'s result and how many objects gc.collect() reclaims after it
+    runs with the cyclic collector off: 0 when reference counting alone
+    frees everything it made."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = call()
+        return result, gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def graph_of(edges) -> DebtGraph:

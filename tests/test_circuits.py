@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import random
 from collections import Counter
 from unittest import mock
@@ -26,6 +25,7 @@ from netcycle.oracle import circuits_by_dfs
 from conftest import (
     OVERLAP_CIRCUITS,
     complete_digraph,
+    cyclic_garbage,
     graph_of,
     positions,
     random_graph,
@@ -261,12 +261,14 @@ class TestStartSearch:
         return [tuple(index.verts[i] for i in c) for c in out], budget
 
     def finish(self, graph, start):
-        """Drop a searched start from its successors' rows, as _search does."""
+        """Drop a searched start from its successors' rows and from the
+        rows' keys, as _search does."""
         index, pred = graph
         s = index.verts.index(start)
         for w in index.indices[index.indptr[s]:index.indptr[s + 1]]:
             if w in pred:
                 pred[w].remove(s)
+        del pred[s]
 
     def test_records_three_cycle(self):
         index = self.index([("A", "B"), ("B", "C"), ("C", "A")])
@@ -294,15 +296,27 @@ class TestStartSearch:
     def test_distances_to(self):
         # E -> D -> C -> B -> A, plus the shortcut D -> A and the edge A -> E
         graph = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
-        pred = graph[1]
+        index, pred = graph
         a, b, c, d, e = range(5)
         assert pred == {a: [b, d], b: [c], c: [d], d: [e], e: [a]}
-        assert distances_to(a, pred, 3) == {a: 0, b: 1, d: 1, c: 2, e: 2}
-        assert distances_to(a, pred, 1) == {a: 0, b: 1, d: 1}
-        # once A is searched it leaves E's row, so B's BFS stops at E
+        # the BFS runs out of vertices before max_len - 2 hops
+        assert distances_to(a, index, pred, 5) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        assert distances_to(a, index, pred, 4) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        # max_len - 1 = 2 hops back: E, a successor of A, gets its distance
+        # through its own successor D; C, which A does not reach in one
+        # hop, gets none
+        assert distances_to(a, index, pred, 3) == {a: 0, b: 1, d: 1, e: 2}
+        # E -> A is no edge, so at cap 2 no successor of A is 1 hop back
+        assert distances_to(a, index, pred, 2) == {a: 0}
+        # A is D's successor and 2 hops back through E, until A is searched
+        assert distances_to(d, index, pred, 3) == {d: 0, e: 1, a: 2}
         self.finish(graph, "A")
-        assert pred[e] == []
-        assert distances_to(b, pred, 4) == {b: 0, c: 1, d: 2, e: 3}
+        assert a not in pred and pred[e] == []
+        # a finished successor gets no distance
+        assert distances_to(d, index, pred, 3) == {d: 0, e: 1}
+        # and B's BFS stops at E
+        assert distances_to(b, index, pred, 6) == {b: 0, c: 1, d: 2, e: 3}
+        assert distances_to(b, index, pred, 5) == {b: 0, c: 1, d: 2, e: 3}
 
     def test_hub_is_searched_first(self, monkeypatch):
         # H trades both ways with each of A, B, C, which also form a ring:
@@ -378,6 +392,56 @@ class TestStartSearch:
         assert budget.ticks == 1
 
 
+def full_ball_search(g, max_len):
+    """The capped search over the whole graph, written out with the
+    full-depth reverse BFS: every start from the highest in-degree times
+    out-degree down, ties by position; distances to s over the live
+    vertices up to max_len - 1 hops; successors by ascending position; a
+    finished start leaves the graph. Raw circuits in the order met."""
+    index = g.index()
+    succ = [index.indices[index.indptr[p]:index.indptr[p + 1]] for p in range(len(index.verts))]
+    indegree = Counter(w for row in succ for w in row)
+    order = sorted(range(len(succ)), key=lambda p: -indegree[p] * len(succ[p]))
+    live = set(range(len(succ)))
+    out = []
+    for s in order:
+        dist = {s: 0}
+        for d in range(1, max_len):
+            for u in live:
+                if u not in dist and any(dist.get(v) == d - 1 for v in succ[u]):
+                    dist[u] = d
+
+        def extend(path):
+            for w in succ[path[-1]]:
+                if w == s:
+                    out.append(tuple(path))
+                elif w in dist and len(path) + dist[w] <= max_len and w not in path:
+                    extend(path + [w])
+
+        extend([s])
+        live.discard(s)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 10), st.floats(0.05, 0.4), st.integers(2, 8), st.integers(1, 40))
+def test_search_order_matches_full_ball_search(seed, n, p, max_len, k):
+    """The one-hop step for s's successors prunes exactly as the full
+    ball did: _search meets the same circuits in the same order, and a
+    max_circuits=k search keeps the first k of them."""
+    g = random_graph(random.Random(seed), n, p)
+    expected = full_ball_search(g, max_len)
+
+    def search(max_circuits):
+        pred = component_adjacency(g, range(len(g.index().verts)))
+        return _search(g.index(), pred, EnumerationConfig(max_len=max_len, max_circuits=max_circuits))
+
+    assert search(None) == (expected, None)
+    raw, reason = search(k)
+    assert raw == expected[:k]
+    assert reason == ("max_circuits" if len(expected) >= k else None)
+
+
 @pytest.mark.parametrize("max_circuits", [None, 3], ids=["complete", "truncated"])
 def test_search_leaves_no_cyclic_garbage(max_circuits):
     """Each start vertex's search state is freed by reference counting, so
@@ -385,14 +449,9 @@ def test_search_leaves_no_cyclic_garbage(max_circuits):
     g = complete_digraph(6)
     index, pred = g.index(), component_adjacency(g, positions(g, g.vertices))
     cfg = EnumerationConfig(max_len=4, max_circuits=max_circuits)
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        circuits, reason = _search(index, pred, cfg)
-        found = gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
+    (circuits, reason), found = cyclic_garbage(lambda: _search(index, pred, cfg))
     assert circuits and reason == ("max_circuits" if max_circuits else None)
+    assert found == 0
+    result, found = cyclic_garbage(lambda: enumerate_circuits(g, positions(g, g.vertices), cfg))
+    assert result.circuits and result.truncated == (max_circuits is not None)
     assert found == 0

@@ -27,7 +27,16 @@ from netcycle import (
 from netcycle.oracle import best_order_by_permutation
 from netcycle.settlement import EXACT_HARD_CAP
 
-from conftest import ABCD, ABDEF, BCGH, OVERLAP_CIRCUITS, complete_digraph, graph_of, random_graph
+from conftest import (
+    ABCD,
+    ABDEF,
+    BCGH,
+    OVERLAP_CIRCUITS,
+    complete_digraph,
+    cyclic_garbage,
+    graph_of,
+    random_graph,
+)
 
 
 # References: the settlement loops written against DebtGraph itself, which
@@ -125,6 +134,13 @@ class TestExactOptimizer:
         before = dict(overlap_graph.edges())
         optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
         assert dict(overlap_graph.edges()) == before
+
+    def test_memo_is_freed_without_the_cyclic_collector(self, overlap_graph):
+        plan, found = cyclic_garbage(
+            lambda: optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
+        )
+        assert plan.mode == "exact" and plan.total == 29_000
+        assert found == 0
 
     def test_hard_cap_refusal(self):
         g = complete_digraph(4)
