@@ -135,7 +135,8 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
                  entry.get("truncated", False), entry.get("truncation_reason"))
                 for entry in json.loads(text)["components"]
             ]
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
+        # RecursionError: JSON nested deeper than the parser's recursion limit
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
             raise InvoiceError(path, f"not a circuits artifact: {err!r}") from None
         listed: set[int] = set()
         for idx, circuits, truncated, reason in entries:
@@ -153,9 +154,11 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
             for circuit in circuits:
                 add(circuit, locator, idx)
     else:
-        for n, line in enumerate(text.splitlines(), 1):
-            if line.strip():
-                add(tuple(line.strip().split(",")), f"{path} line {n}")
+        # the inverse of circuits_lines: ids hold no "\n" and are kept as
+        # written, spaces and other line breaks included
+        for n, line in enumerate(text.split("\n"), 1):
+            if line:
+                add(tuple(line.split(",")), f"{path} line {n}")
     for idx, result in results.items():
         result.circuits.sort()
         for a, b in zip(result.circuits, result.circuits[1:]):

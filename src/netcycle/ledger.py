@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Container, Iterable, Iterator, KeysView, Sequence
 
 CompanyId = str
 
@@ -95,15 +95,13 @@ class GraphIndex:
     indices: array
 
 
-def _build_index(vertices: set[CompanyId], adj: dict[CompanyId, dict[CompanyId, int]]) -> GraphIndex:
-    verts = sorted(vertices)
+def _build_index(adj: dict[CompanyId, dict[CompanyId, int]]) -> GraphIndex:
+    verts = sorted(adj)
     pos = {v: i for i, v in enumerate(verts)}
     indptr = array("l", [0])
     indices = array("l")
     for v in verts:
-        row = adj.get(v)
-        if row:
-            indices.extend(sorted([pos[w] for w in row]))
+        indices.extend(sorted([pos[w] for w in adj[v]]))
         indptr.append(len(indices))
     return GraphIndex(verts, indptr, indices)
 
@@ -113,30 +111,37 @@ class DebtGraph:
 
     Invariants: no self-loops, all weights > 0 (an edge is removed the
     moment its weight reaches zero), at most one edge per ordered pair.
-    Antiparallel pairs (u, v) and (v, u) may coexist.
+    Antiparallel pairs (u, v) and (v, u) may coexist. Every company has a
+    row in the adjacency map, empty when it owes nothing, so the company
+    set is the map's key set; a company whose edges are all settled away
+    stays a company.
     """
 
-    __slots__ = ("vertices", "_adj", "_index")
+    __slots__ = ("_adj", "_index")
 
     def __init__(self) -> None:
-        self.vertices: set[CompanyId] = set()
-        # debtor -> {creditor: weight}
+        # company -> {creditor: weight}, one row per company, possibly empty
         self._adj: dict[CompanyId, dict[CompanyId, int]] = {}
         # the sorted index of the current vertices and edges, or None
         self._index: GraphIndex | None = None
 
+    @property
+    def vertices(self) -> KeysView[CompanyId]:
+        """The companies, a read-only view of the map's keys; see add_vertex."""
+        return self._adj.keys()
+
     def __contains__(self, vertex: CompanyId) -> bool:
-        return vertex in self.vertices
+        return vertex in self._adj
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DebtGraph):
             return NotImplemented
-        return self.vertices == other.vertices and dict(self.edges()) == dict(other.edges())
+        return self._adj == other._adj
 
     def add_vertex(self, v: CompanyId) -> None:
         if not v:
             raise ValueError("company id must be non-empty")
-        self.vertices.add(v)
+        self._adj.setdefault(v, {})
         self._index = None
 
     def add_obligation(self, debtor: CompanyId, creditor: CompanyId, amount: int) -> None:
@@ -147,7 +152,7 @@ class DebtGraph:
             raise ValueError("obligation amount must be positive")
         self.add_vertex(debtor)  # drops the index
         self.add_vertex(creditor)
-        row = self._adj.setdefault(debtor, {})
+        row = self._adj[debtor]
         row[creditor] = row.get(creditor, 0) + amount
 
     def weight(self, debtor: CompanyId, creditor: CompanyId) -> int:
@@ -173,13 +178,12 @@ class DebtGraph:
         and kept until the graph changes. Two builds of one state are
         equal."""
         if self._index is None:
-            self._index = _build_index(self.vertices, self._adj)
+            self._index = _build_index(self._adj)
         return self._index
 
     def copy(self) -> "DebtGraph":
         """An independent graph with the same contents and no index yet."""
         g = DebtGraph()
-        g.vertices = set(self.vertices)
         g._adj = {u: dict(row) for u, row in self._adj.items()}
         return g
 
@@ -191,8 +195,6 @@ class DebtGraph:
             raise AssertionError("edge weight underflow")
         if left == 0:
             del row[v]
-            if not row:
-                del self._adj[u]
         else:
             row[v] = left
 
@@ -235,14 +237,15 @@ class DebtGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DebtGraph":
-        """Read a snapshot written by write_json. Anything that it could
-        not have written raises InvoiceError: text that is not JSON, missing
-        keys, an id that is empty or holds a delimiter, a vertex or an edge
-        listed twice, a self-loop, an amount that is not a positive int, an
-        edge to an unlisted vertex."""
+        """Read a snapshot written by write_json, giving every listed vertex
+        a row before any edge is read. Anything that it could not have
+        written raises InvoiceError: text that is not JSON or nests past the
+        recursion limit, missing keys, an id that is empty or holds a
+        delimiter, a vertex or an edge listed twice, a self-loop, an amount
+        that is not a positive int, an edge to an unlisted vertex."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise InvoiceError("graph", f"not valid JSON: {err}") from None
         try:
             vertices, edges = payload["vertices"], payload["edges"]
@@ -254,31 +257,27 @@ class DebtGraph:
             for i, v in enumerate(vertices):
                 _check_company_id(v, f"vertices[{i}]")
         g = cls()
-        g.vertices = known = set(vertices)
-        if len(known) != len(vertices):
+        g._adj = adj = {v: {} for v in vertices}
+        if len(adj) != len(vertices):
             seen: set[CompanyId] = set()
             for i, v in enumerate(vertices):
                 if v in seen:
                     raise InvoiceError(f"vertices[{i}]", f"company id {v!r} is listed twice")
                 seen.add(v)
-        adj = g._adj
         for i, e in enumerate(edges):
             try:
                 u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
-                # members of `known` passed _check_company_id above
-                ok = u in known and v in known and u != v and type(amount) is int and amount > 0
+                # the keys of `adj` passed _check_company_id above
+                ok = u in adj and v in adj and u != v and type(amount) is int and amount > 0
             except (KeyError, TypeError):  # not an object, a key missing, an unhashable id
                 ok = False
             if not ok:
-                _check_edge(e, known, f"edges[{i}]")
+                _check_edge(e, adj, f"edges[{i}]")
                 raise AssertionError(f"edges[{i}] passes _check_edge but not the inline test")
-            row = adj.get(u)
-            if row is None:
-                adj[u] = {v: amount}
-            elif v in row:
+            row = adj[u]
+            if v in row:
                 raise InvoiceError(f"edges[{i}]", f"edge {u!r} -> {v!r} is listed twice")
-            else:
-                row[v] = amount
+            row[v] = amount
         return g
 
 
@@ -369,7 +368,7 @@ def _plain_ids(ids: Sequence[object]) -> bool:
     return all(ids) and "," not in joined and "\r" not in joined and "\n" not in joined
 
 
-def _check_edge(e: object, vertices: set[CompanyId], locator: str) -> None:
+def _check_edge(e: object, vertices: Container[CompanyId], locator: str) -> None:
     """The checks of one graph.json edge, first failure first."""
     try:
         u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
@@ -474,9 +473,10 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
     CSV layer (read_invoices) ends the read in either mode.
 
     Each company is held as one string object: the first accepted row that
-    names it adds its id to `ids`, and every later row's edge keys are
-    that object, not the copy parsed from the row. One lookup per id both
-    tests membership and finds the kept object.
+    names it adds its id to `ids` and gives it an empty row in the graph,
+    and every later row's edge keys are that object, not the copy parsed
+    from the row. One lookup per id both tests membership and finds the
+    kept object, which the graph's own map cannot return.
     """
     graph = DebtGraph()
     adj = graph._adj
@@ -509,15 +509,13 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
         seen_ids.add(invoice_id)
         if d is None:
             d = ids[debtor] = debtor
+            adj[d] = {}
         if c is None:
             c = ids[creditor] = creditor
-        row = adj.get(d)
-        if row is None:
-            adj[d] = {c: amount}
-        else:
-            row[c] = row.get(c, 0) + amount
+            adj[c] = {}
+        row = adj[d]
+        row[c] = row.get(c, 0) + amount
         accepted += 1
-    graph.vertices = set(ids)
     return IngestResult(graph, accepted, rejects)
 
 

@@ -49,6 +49,13 @@ def graph_of(edges) -> DebtGraph:
     return g
 
 
+def one_row_per_company(g: DebtGraph) -> bool:
+    """Whether the companies are exactly the adjacency map's row keys and
+    every creditor has a row of its own."""
+    rows = g._adj
+    return set(g.vertices) == set(rows) and all(v in rows for row in rows.values() for v in row)
+
+
 def positions(g: DebtGraph, ids) -> list[int]:
     """The positions in g.index() of the companies `ids`, ascending, as
     tarjan lists a component's members."""

@@ -59,9 +59,11 @@ def test_stage_by_stage_matches_run(tmp_path, overlap_csv):
             assert (out / artifact).read_bytes() == full[artifact], (name, artifact)
 
 
+# circuits.txt keeps ids as written: spaces and the line breaks of
+# str.splitlines() other than "\r" and "\n" are part of an id
+company_ids = st.sampled_from([*"ABCDEFGH", " A", "B ", "C\fD", "E\u2028F"])
 invoice_lists = st.lists(
-    st.tuples(st.sampled_from("ABCDEFGH"), st.sampled_from("ABCDEFGH"), st.integers(1, 100))
-    .filter(lambda inv: inv[0] != inv[1]),
+    st.tuples(company_ids, company_ids, st.integers(1, 100)).filter(lambda inv: inv[0] != inv[1]),
     max_size=20,
 )
 
@@ -70,6 +72,7 @@ invoice_lists = st.lists(
 @given(invoice_lists, st.integers(2, 5))
 # a 4-cycle holds no circuit within cap 3, and E <-> F does
 @example([("A", "B", 5), ("B", "C", 5), ("C", "D", 5), ("D", "A", 5), ("E", "F", 3), ("F", "E", 4)], 3)
+@example([(" A", "B ", 100), ("B ", " A", 50), ("C\fD", "E\u2028F", 7), ("E\u2028F", "C\fD", 7)], 3)
 def test_chained_subcommands_reproduce_run(invoices, max_len):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -207,6 +210,7 @@ BAD_GRAPHS = {
     "missing_edges": json.dumps({"vertices": ["A", "B"]}),
     "edge_missing_amount": json.dumps({"vertices": ["A", "B"], "edges": [{"debtor": "A", "creditor": "B"}]}),
     "edge_not_an_object": json.dumps({"vertices": ["A", "B"], "edges": [["A", "B", 5]]}),
+    "nested_past_recursion_limit": "[" * 100_000,
 }
 
 
@@ -282,6 +286,7 @@ def test_plan_rejects_circuits_that_cannot_be_settled(tmp_path, capsys, line):
     # characters or its keys
     '{"components": [{"scc_index": 0, "circuits": ["ABC"]}]}',
     '{"components": [{"scc_index": 0, "circuits": [{"A": 1, "B": 2, "C": 3}]}]}',
+    pytest.param("[" * 100_000, id="nested_past_recursion_limit"),
 ])
 def test_plan_rejects_malformed_circuits_json(tmp_path, capsys, text):
     graph = _intro_graph(tmp_path)

@@ -28,7 +28,7 @@ from netcycle import (
 from netcycle import ledger
 from netcycle.circuits import component_adjacency, enumerate_graph
 from netcycle.scc import tarjan
-from conftest import INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of, positions
+from conftest import INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of, one_row_per_company, positions
 
 
 def inv(i, debtor, creditor, amount):
@@ -353,6 +353,7 @@ class TestOneStringPerCompany:
             except InvoiceError:
                 continue
             assert kept_once(result.graph)
+            assert one_row_per_company(result.graph)
 
 
 class TestDensity:
@@ -396,6 +397,11 @@ class TestSettle:
         g = graph_of([("A", "B", 9), ("B", "C", 9), ("C", "A", 9)])
         assert settle(g, ("A", "B", "C")) == 9
         assert g.edge_count() == 0
+        # a company whose every edge is settled away stays a company
+        assert g.vertices == {"A", "B", "C"}
+        assert g.index().verts == ["A", "B", "C"]
+        assert json.loads(g.to_json())["vertices"] == ["A", "B", "C"]
+        assert g == rebuilt(g)
 
     def test_stale_circuit_leaves_graph_untouched(self, intro_graph):
         settle(intro_graph, ("A", "B", "C"))
@@ -520,7 +526,8 @@ class TestGraphJson:
     def test_matches_json_dumps_and_round_trips(self, g):
         text = g.to_json()
         assert text == reference_json(g)
-        assert DebtGraph.from_json(text) == g
+        loaded = DebtGraph.from_json(text)
+        assert loaded == g and one_row_per_company(loaded)
 
     def test_vertices_without_edges(self):
         g = DebtGraph()
@@ -576,7 +583,7 @@ def reference_from_json(text: str) -> DebtGraph:
     for i, v in enumerate(vertices):
         if v in g.vertices:
             raise InvoiceError(f"vertices[{i}]", f"company id {v!r} is listed twice")
-        g.vertices.add(v)
+        g.add_vertex(v)
     for i, e in enumerate(edges):
         locator = f"edges[{i}]"
         try:
@@ -664,6 +671,7 @@ class TestIndex:
         assert twin.to_json() == before
         twin.add_obligation("Q", "A", 5)
         assert self.views(twin) == self.views(rebuilt(twin))
+        assert one_row_per_company(twin)
         assert overlap_graph.to_json() != twin.to_json()
 
     def test_one_build_per_graph_state(self, monkeypatch):

@@ -35,6 +35,7 @@ from conftest import (
     complete_digraph,
     cyclic_garbage,
     graph_of,
+    one_row_per_company,
     random_graph,
 )
 
@@ -298,6 +299,7 @@ class TestReplay:
         fresh = g.copy()
         replay(fresh, plan)
         assert g.total_weight() - fresh.total_weight() == plan.total
+        assert fresh.vertices == g.vertices and one_row_per_company(fresh)
 
 
 @settings(max_examples=150, deadline=None)
