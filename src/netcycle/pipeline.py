@@ -10,13 +10,14 @@ Every JSON artifact is streamed: graph.json one source row at a time
 (DebtGraph.write_json), and circuits.json, plans.json and report.json
 through dump_json, one item of a top-level list at a time. The text is
 exactly json.dumps(payload, indent=2) + "\\n", but no copy of the whole
-text is held in memory.
+text is held in memory. Neither writer uses json's encoder, which runs
+its pure-Python path whenever an indent is set.
 """
 
 from __future__ import annotations
 
 import io
-import json
+import math
 import os
 import shutil
 import tempfile
@@ -24,6 +25,7 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO
 
@@ -102,35 +104,98 @@ def circuits_lines(circuits: list[tuple[str, ...]]) -> str:
     return "".join(",".join(c) + "\n" for c in circuits)
 
 
-_ENCODER = json.JSONEncoder(indent=2)
-
-
 def dump_json(payload: dict[str, object], fh: IO[str]) -> None:
-    """Write json.dumps(payload, indent=2) + "\\n" to fh, for a payload
-    whose keys are strings. A top-level value may also be an iterator,
-    written as the list of its items.
+    """Write json.dumps(payload, indent=2) + "\\n" to fh. A top-level value
+    may also be an iterator, written as the list of its items.
 
     Each item of a top-level list is encoded on its own and written at
     once, so at most one item's text is held in memory; every other value
-    is encoded whole. An item's text is encoded at depth zero and indented
-    in place, which is safe because JSON escapes every newline inside a
-    string.
+    is encoded whole. Values are encoded by `_encode`, which writes
+    json.dumps's indent-2 layout directly at the value's depth: strings,
+    ints, bools, None, floats, lists, tuples, and dicts whose keys are
+    strings or ints. Any other value or key raises TypeError.
     """
-    encode = _ENCODER.encode
     write = fh.write
     sep = "{\n  "
     for key, value in payload.items():
-        write(f"{sep}{encode(key)}: ")
+        write(f"{sep}{_key(key)}: ")
         sep = ",\n  "
         if isinstance(value, (list, tuple, Iterator)):
             head = "[\n    "
             for item in value:
-                write(head + encode(item).replace("\n", "\n    "))
+                write(head + _encode(item, "\n    "))
                 head = ",\n    "
             write("[]" if head == "[\n    " else "\n  ]")
         else:
-            write(encode(value).replace("\n", "\n  "))
+            write(_encode(value, "\n  "))
     write("{}\n" if sep == "{\n  " else "\n}\n")
+
+
+def _encode(value: object, nl: str) -> str:
+    """`value` as json.dumps(value, indent=2) writes it, with every line
+    after the first indented as `nl` ("\\n" and the indent of the line
+    the value starts on). Kinds are tested in json's order, exact types
+    first because they are the common case."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        return _object(value, nl)
+    if kind is list or kind is tuple:
+        return _array(value, nl)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _array(value, nl)
+    if isinstance(value, dict):
+        return _object(value, nl)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _array(items: list | tuple, nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    try:  # a list of strings, such as a circuit, is one join
+        body = ("," + inner).join(map(encode_basestring_ascii, items))
+    except TypeError:
+        body = ("," + inner).join([_encode(item, inner) for item in items])
+    return f"[{inner}{body}{nl}]"
+
+
+def _object(obj: dict, nl: str) -> str:
+    if not obj:
+        return "{}"
+    inner = nl + "  "
+    body = ("," + inner).join([f"{_key(key)}: {_encode(value, inner)}" for key, value in obj.items()])
+    return f"{{{inner}{body}{nl}}}"
+
+
+def _key(key: object) -> str:
+    """A dict key as json.dumps quotes it; only str and int keys are taken."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, int) and not isinstance(key, bool):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
 
 def write_circuits_json(fh: IO[str], per_component: list[ComponentCircuits], cfg: EnumerationConfig) -> None:

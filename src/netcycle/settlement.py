@@ -14,6 +14,7 @@ the graph is written only by `replay`, once the whole plan checks out.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -124,63 +125,91 @@ def _exact_order(
     """Best settlement order by a memoized search for the best suffix from
     each settlement state.
 
-    Circuits are taken in sorted order and hold indices into one flat list
-    `w` of current edge weights. Weights only decrease, so a circuit worth
-    zero stays at zero: `w` alone fixes which circuits are still live, and
-    the best way to finish from `w` does not depend on the order that
-    reached it. Orders that interleave circuits sharing no edge therefore
-    meet in one cached state instead of being searched again. Settling a
-    circuit drops every live circuit through an edge it empties.
+    Circuits are taken in sorted order and hold indices into the state: a
+    tuple of current edge weights, one per slot of `w`. Weights only
+    decrease, so a circuit worth zero stays at zero: the state alone fixes
+    which circuits are still live, and the best way to finish from it does
+    not depend on the order that reached it. Orders that interleave
+    circuits sharing no edge therefore meet in one cached state instead of
+    being searched again. Settling a circuit drops every live circuit
+    through an edge it empties.
 
     The best suffix has the highest total; ties go to the highest sorted
     step amounts. Remaining ties go to the smallest step sequence, which is
-    the first candidate because live circuits are tried in ascending order.
-    Both keys compose with a fixed prefix, so the best suffix from every
-    state yields the best order overall.
+    the first candidate because live circuits are tried in ascending order
+    and only a strictly better one replaces it. Both keys compose with a
+    fixed prefix, so the best suffix from every state yields the best order
+    overall.
+
+    Each transition builds the child state from its parent's tuple. The
+    sorted amounts are merged, by bisection, only for a candidate whose
+    total reaches the incumbent's and for the winner; steps are a linked
+    chain `(circuit index, per_edge, rest)`, unwound once at the end.
     """
     users = [0] * len(w)  # per slot: bitmask of the circuits through it
     for i, ids in enumerate(edges):
         for e in ids:
             users[e] |= 1 << i
     k = [len(c) for c in order]
-    # state -> (total, sorted amounts, ((circuit index, per_edge), ...))
-    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
+    # state -> (total, sorted amounts, (circuit index, per_edge, rest) or None)
+    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple | None]] = {}
 
-    def best(live: list[int]) -> tuple[int, tuple[int, ...], tuple]:
-        found = (0, (), ())
+    def best(state: tuple[int, ...], live: list[int]) -> tuple[int, tuple[int, ...], tuple | None]:
+        # The incumbent: settle top_i for top_x per edge, then top_suffix.
+        # top is its total; top_amounts its sorted amounts, None until needed.
+        top = 0
+        weight = state.__getitem__
         for i in live:
             ids = edges[i]
-            x = min([w[e] for e in ids])
+            x = min(map(weight, ids))
+            child = list(state)
             dead = 0
             for e in ids:
-                w[e] -= x
-                if not w[e]:
+                left = child[e] = child[e] - x
+                if not left:
                     dead |= users[e]
-            state = tuple(w)
-            suffix = memo.get(state)
+            child = tuple(child)
+            suffix = memo.get(child)
             if suffix is None:
-                suffix = memo[state] = best([j for j in live if not dead >> j & 1])
-            for e in ids:
-                w[e] += x
-            total, amounts, steps = suffix
+                suffix = memo[child] = best(child, [j for j in live if not dead >> j & 1])
             amount = x * k[i]
-            total += amount
-            amounts = tuple(sorted((amount,) + amounts))
-            if total > found[0] or (total == found[0] and amounts > found[1]):
-                found = (total, amounts, ((i, x),) + steps)
-        return found
+            total = suffix[0] + amount
+            if total > top:
+                top, top_suffix, top_amount, top_i, top_x = total, suffix, amount, i, x
+                top_amounts = None
+            elif total == top:
+                if top_amounts is None:
+                    top_amounts = _with(top_suffix[1], top_amount)
+                amounts = _with(suffix[1], amount)
+                if amounts > top_amounts:
+                    top_suffix, top_amount, top_i, top_x, top_amounts = suffix, amount, i, x, amounts
+        if not top:
+            return 0, (), None
+        if top_amounts is None:
+            top_amounts = _with(top_suffix[1], top_amount)
+        return top, top_amounts, (top_i, top_x, top_suffix[2])
 
     try:
-        total, _, sequence = best([i for i in range(len(order)) if all([w[e] for e in edges[i]])])
+        total, _, chain = best(tuple(w), [i for i in range(len(order)) if all([w[e] for e in edges[i]])])
     finally:
         # best's closure holds best itself; unbinding it breaks that
         # reference cycle, so the memo is freed at once instead of waiting
         # for the cyclic collector.
         del best
-    steps = [PlanStep(order[i], x, x * k[i]) for i, x in sequence]
-    taken = {i for i, _ in sequence}
+    steps = []
+    taken = set()
+    while chain is not None:
+        i, x, chain = chain
+        steps.append(PlanStep(order[i], x, x * k[i]))
+        taken.add(i)
     skipped = [c for i, c in enumerate(order) if i not in taken]
     return steps, total, skipped
+
+
+def _with(amounts: tuple[int, ...], amount: int) -> tuple[int, ...]:
+    """The sorted tuple `amounts` with `amount` inserted in order."""
+    at = bisect_left(amounts, amount)
+    return amounts[:at] + (amount,) + amounts[at:]
 
 
 def _greedy_order(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netcycle
 from netcycle import generate_synthetic, write_invoices_csv
 from netcycle.cli import main
 
@@ -26,6 +30,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "netcycle" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(netcycle.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "netcycle", "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"netcycle {netcycle.__version__}\n"
 
 
 def test_run_reports_grand_total(tmp_path, overlap_csv, capsys):

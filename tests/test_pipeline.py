@@ -196,6 +196,32 @@ plans = st.builds(
 histograms = st.dictionaries(st.integers(1, 10**6), st.integers(0, 10**6), max_size=4)
 floats = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
 
+# Any value the artifact writer takes, nested up to depth 4: escaped,
+# control and astral characters, ints past 64 bits, the float edge cases
+# json spells its own way, int keys and empty containers.
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé\u2028\U0001f600'), st.characters()), max_size=6
+)
+json_keys = st.one_of(json_text, st.integers(-(2**70), 2**70))
+json_scalars = st.one_of(
+    json_text,
+    st.integers(),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -1),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
+)
+json_values = json_scalars
+for _ in range(4):
+    json_values = st.one_of(
+        json_scalars,
+        st.lists(json_values, max_size=3),
+        st.lists(json_values, max_size=3).map(tuple),
+        st.dictionaries(json_keys, json_values, max_size=3),
+    )
+
 
 @st.composite
 def reports(draw) -> RunReport:
@@ -255,6 +281,21 @@ class TestStreamedJson:
     def test_report_json_matches_json_dumps(self, report):
         payload = report.to_dict()
         assert dumped(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(json_keys, json_values, max_size=4))
+    def test_any_payload_matches_json_dumps(self, payload):
+        assert dumped(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"a": {1, 2}},
+        {"plans": [{"steps": [[1, {"x": {3}}]]}]},
+    ])
+    def test_a_set_is_refused_as_json_refuses_it(self, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError):
+            dumped(payload)
 
     def test_empty_payloads(self):
         for payload in ({}, {"plans": []}, {"grand_total": 0, "plans": [], "note": {}}):

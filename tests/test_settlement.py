@@ -25,7 +25,8 @@ from netcycle import (
     tarjan,
 )
 from netcycle.oracle import best_order_by_permutation
-from netcycle.settlement import EXACT_HARD_CAP
+from netcycle.ledger import Circuit
+from netcycle.settlement import EXACT_HARD_CAP, _slots
 
 from conftest import (
     ABCD,
@@ -62,6 +63,74 @@ def reference_greedy(g, circuits):
         steps.append(PlanStep(c, x, amount))
         total += amount
     return steps, total, sorted(skipped)
+
+
+# The exact search as it stood before its transitions were made cheaper:
+# it settles on one shared weight list and copies each state out of it.
+# The current search must return the same plan, tie-breaks included.
+def reference_exact_order(
+    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit]
+) -> tuple[list[PlanStep], int, list[Circuit]]:
+    """Best settlement order by a memoized search for the best suffix from
+    each settlement state.
+
+    Circuits are taken in sorted order and hold indices into one flat list
+    `w` of current edge weights. Weights only decrease, so a circuit worth
+    zero stays at zero: `w` alone fixes which circuits are still live, and
+    the best way to finish from `w` does not depend on the order that
+    reached it. Orders that interleave circuits sharing no edge therefore
+    meet in one cached state instead of being searched again. Settling a
+    circuit drops every live circuit through an edge it empties.
+
+    The best suffix has the highest total; ties go to the highest sorted
+    step amounts. Remaining ties go to the smallest step sequence, which is
+    the first candidate because live circuits are tried in ascending order.
+    Both keys compose with a fixed prefix, so the best suffix from every
+    state yields the best order overall.
+    """
+    users = [0] * len(w)  # per slot: bitmask of the circuits through it
+    for i, ids in enumerate(edges):
+        for e in ids:
+            users[e] |= 1 << i
+    k = [len(c) for c in order]
+    # state -> (total, sorted amounts, ((circuit index, per_edge), ...))
+    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
+
+    def best(live: list[int]) -> tuple[int, tuple[int, ...], tuple]:
+        found = (0, (), ())
+        for i in live:
+            ids = edges[i]
+            x = min([w[e] for e in ids])
+            dead = 0
+            for e in ids:
+                w[e] -= x
+                if not w[e]:
+                    dead |= users[e]
+            state = tuple(w)
+            suffix = memo.get(state)
+            if suffix is None:
+                suffix = memo[state] = best([j for j in live if not dead >> j & 1])
+            for e in ids:
+                w[e] += x
+            total, amounts, steps = suffix
+            amount = x * k[i]
+            total += amount
+            amounts = tuple(sorted((amount,) + amounts))
+            if total > found[0] or (total == found[0] and amounts > found[1]):
+                found = (total, amounts, ((i, x),) + steps)
+        return found
+
+    try:
+        total, _, sequence = best([i for i in range(len(order)) if all([w[e] for e in edges[i]])])
+    finally:
+        # best's closure holds best itself; unbinding it breaks that
+        # reference cycle, so the memo is freed at once instead of waiting
+        # for the cyclic collector.
+        del best
+    steps = [PlanStep(order[i], x, x * k[i]) for i, x in sequence]
+    taken = {i for i, _ in sequence}
+    skipped = [c for i, c in enumerate(order) if i not in taken]
+    return steps, total, skipped
 
 
 def reference_plan_for_order(g, circuits):
@@ -184,6 +253,21 @@ class TestExactOptimizer:
             assert exact.total == oracle.total
             checked += 1
         assert checked >= 90
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([3, 10**9]), st.data())
+    def test_matches_the_reference_search(self, top, data):
+        # Weights 1-3 force equal totals, so the tie-breaks decide; up to
+        # EXACT_HARD_CAP circuits is past the permutation oracle's reach.
+        pairs = [(u, v) for u in "ABCDE" for v in "ABCDE" if u != v]
+        edges = data.draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, top), min_size=11))
+        g = graph_of([(u, v, w) for (u, v), w in edges.items()])
+        circuits = merge_circuits(enumerate_graph(g, tarjan(g), EnumerationConfig()))
+        if circuits:
+            circuits = data.draw(st.permutations(circuits))[: data.draw(st.integers(1, EXACT_HARD_CAP))]
+        plan = optimize_order(g, circuits, OptimizerConfig(mode="exact"))
+        order = sorted(circuits)
+        assert (plan.steps, plan.total, plan.skipped) == reference_exact_order(*_slots(g, order), order)
 
 
 class TestGreedyOptimizer:
