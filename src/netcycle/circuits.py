@@ -27,10 +27,19 @@ Tarjan's partition lists them, and successors are read from its CSR rows.
 Only the component's predecessor rows are built; a successor outside the
 component has no distance back to s, so the search stays in the induced
 subgraph. Ids come back only for the finished circuits.
+
+The distances live in one list indexed by position (`_Distances`), which
+enumerate_graph allocates once per graph and every component's search
+shares. Instead of being cleared, it is stamped: each start takes a new
+base b, max_len + 1 above the previous start's, and a vertex d hops back
+stores b + d. Any slot below b (a non-member, an earlier start, a vertex
+out of reach, or a value left by an earlier start or component) means no
+distance, so a start costs only the slots its BFS writes.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -128,11 +137,26 @@ def component_adjacency(g: DebtGraph, component: Iterable[int]) -> dict[int, lis
     return pred
 
 
-def distances_to(s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int) -> dict[int, int]:
-    """Fewest hops from each vertex back to s along the rows of `pred`, for
-    every vertex a circuit of length <= max_len through s can use; s itself
-    is at 0. Starts searched before s are no longer in `pred` (see
-    _search), so they get no distance.
+class _Distances:
+    """The stamped distance list, one slot per position in g.index(), and
+    the base the next start takes: above every value stored so far (see
+    the module docstring)."""
+
+    __slots__ = ("dist", "base")
+
+    def __init__(self, n: int):
+        self.dist = [-1] * n
+        self.base = 0
+
+
+def distances_to(
+    s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int, dist: list[int], b: int
+) -> None:
+    """Store in dist, as b + hops, the fewest hops from each vertex back to
+    s along the rows of `pred`, for every vertex a circuit of length <=
+    max_len through s can use; s itself gets b. Starts searched before s
+    are no longer in `pred` (see _search), so they get no distance: with b
+    above every value already in dist, every other slot stays below b.
 
     The reverse BFS stops at max_len - 2 hops. Its next layer would be its
     largest, and search_from can use a vertex max_len - 1 hops back only as
@@ -141,48 +165,50 @@ def distances_to(s: int, index: GraphIndex, pred: dict[int, list[int]], max_len:
     own successors is at max_len - 2. A BFS that runs out of vertices
     earlier has already found every distance.
     """
-    dist = {s: 0}
+    dist[s] = b
     frontier = [s]
-    for d in range(1, max_len - 1):
+    for d in range(b + 1, b + max_len - 1):
         nxt = []
         for w in frontier:
             for u in pred[w]:
-                if u not in dist:
+                if dist[u] < b:
                     dist[u] = d
                     nxt.append(u)
         if not nxt:
-            return dist
+            return
         frontier = nxt
     indptr, indices = index.indptr, index.indices
-    last = max_len - 2
+    last = b + max_len - 2
     for w in indices[indptr[s]:indptr[s + 1]]:
-        if w not in dist and w in pred:
+        if dist[w] < b and w in pred:
             for x in indices[indptr[w]:indptr[w + 1]]:
-                if dist.get(x) == last:
-                    dist[w] = max_len - 1
+                if dist[x] == last:
+                    dist[w] = last + 1
                     break
-    return dist
 
 
 def search_from(
     s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int, budget: _Budget,
-    out: list[tuple[int, ...]],
+    out: list[tuple[int, ...]], dist: list[int], b: int,
 ) -> None:
     """Append to out every circuit of length <= max_len through s among
     the vertices still in `pred`'s rows, each as a tuple that starts at s,
     in the order the DFS meets them (successors by ascending position).
+    distances_to fills dist at base b, which must be above every value
+    already in dist.
 
-    The path extends to a successor w only if w has a distance to s (it is
-    a member and not an earlier start), w is off the path and
-    len(path) + dist[w] <= max_len, i.e. a circuit through w can still fit
-    the cap. Only distances to s prune, so nothing within the cap is lost.
-    A vertex max_len - 1 hops back passes only while len(path) == 1, as a
-    successor of s, so distances_to gives that distance to s's successors
-    alone (see there); every other vertex meets the same test as with the
-    full ball.
+    The path extends to a successor w only if w has a distance d to s (it
+    is a member and not an earlier start), w is off the path and
+    len(path) + d <= max_len, i.e. a circuit through w can still fit the
+    cap: b <= dist[w] <= b + max_len - len(path). Only distances to s
+    prune, so nothing within the cap is lost. A vertex max_len - 1 hops
+    back passes only while len(path) == 1, as a successor of s, so
+    distances_to gives that distance to s's successors alone (see there);
+    every other vertex meets the same test as with the full ball.
     """
     indptr, indices = index.indptr, index.indices
-    dist = distances_to(s, index, pred, max_len)
+    distances_to(s, index, pred, max_len, dist, b)
+    top = b + max_len
     path = [s]
     on_path = {s}
 
@@ -191,6 +217,7 @@ def search_from(
         if budget.deadline is not None and (budget.ticks & 1023) == 0 and time.monotonic() >= budget.deadline:
             budget.reason = TIME_BUDGET
             raise _Stop
+        limit = top - len(path)
         for w in indices[indptr[v]:indptr[v + 1]]:
             if w == s:
                 out.append(tuple(path))
@@ -200,8 +227,8 @@ def search_from(
                         budget.reason = MAX_CIRCUITS
                         raise _Stop
                 continue
-            d = dist.get(w)  # None for an earlier start, a non-member, or too far from s
-            if d is not None and len(path) + d <= max_len and w not in on_path:
+            # below b: an earlier start, a non-member, or too far from s
+            if b <= dist[w] <= limit and w not in on_path:
                 path.append(w)
                 on_path.add(w)
                 extend(w)
@@ -218,7 +245,7 @@ def search_from(
 
 
 def _search(
-    index: GraphIndex, pred: dict[int, list[int]], cfg: EnumerationConfig
+    index: GraphIndex, pred: dict[int, list[int]], cfg: EnumerationConfig, distances: _Distances | None = None
 ) -> tuple[list[tuple[int, ...]], str | None]:
     """Every start, from the highest score len(pred[p]) * out-degree(p)
     down, ties by ascending position. Consumes `pred`: a finished start
@@ -226,17 +253,27 @@ def _search(
     reaches it, not even through distances_to's one-hop step. A start
     whose own row is already empty at its turn closes no circuit and is
     not searched. Raw circuits start at their start vertex, in search
-    order."""
+    order.
+
+    Each searched start takes the next base of `distances` (a new one for
+    the index when None), max_len + 1 above the last, before its search
+    begins, so a later start or component never reads a distance of this
+    one, even after a truncation."""
     budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
     out: list[tuple[int, ...]] = []
     indptr, indices = index.indptr, index.indices
+    if distances is None:
+        distances = _Distances(len(index.verts))
+    dist, step = distances.dist, cfg.max_len + 1
     # One list of positions, scored before any row shrinks; the sort is
     # stable, so equal scores keep pred's ascending order.
     order = sorted(pred, key=lambda p: len(pred[p]) * (indptr[p + 1] - indptr[p]), reverse=True)
     try:
         for s in order:
             if pred[s]:
-                search_from(s, index, pred, cfg.max_len, budget, out)
+                b = distances.base
+                distances.base = b + step
+                search_from(s, index, pred, cfg.max_len, budget, out, dist, b)
             for w in indices[indptr[s]:indptr[s + 1]]:
                 row = pred.get(w)
                 if row is not None:
@@ -251,14 +288,17 @@ def enumerate_circuits(
     g: DebtGraph,
     component: Iterable[int],
     cfg: EnumerationConfig | None = None,
+    distances: _Distances | None = None,
 ) -> EnumerationResult:
     """All elementary circuits, as ids, of length <= cfg.max_len of the
     subgraph induced by `component` (ascending positions in g.index()),
     each once, canonical rotation, in lexicographic order. A hit budget
-    yields a truncated partial result (see EnumerationConfig)."""
+    yields a truncated partial result (see EnumerationConfig). The search
+    stores its distances in `distances`, built for g.index(), or in a new
+    list when None."""
     cfg = cfg or EnumerationConfig()
     index = g.index()
-    raw, reason = _search(index, component_adjacency(g, component), cfg)
+    raw, reason = _search(index, component_adjacency(g, component), cfg, distances)
     # Position order is id order, so rotating and sorting positions gives
     # the canonical rotation and lexicographic order of the ids.
     ordered = sorted(map(canonical_rotation, raw))
@@ -274,16 +314,30 @@ def enumerate_graph(
     parallelism: int = 1,
 ) -> list[ComponentCircuits]:
     """Enumerate every nontrivial component, one at a time, in component
-    index order. `engine` and `parallelism` accept only the values
-    resolve_engine and check_parallelism do.
+    index order, all of them storing distances in one list over the
+    graph's positions, with the cyclic garbage collector paused.
+    `engine` and `parallelism` accept only the values resolve_engine and
+    check_parallelism do.
     """
     resolve_engine(engine)
     check_parallelism(parallelism)
     cfg = cfg or EnumerationConfig()
-    return [
-        ComponentCircuits(partition.component_of[comp[0]], enumerate_circuits(g, comp, cfg))
-        for comp in nontrivial_components(partition)
-    ]
+    distances = _Distances(len(g.index().verts))
+    # The search makes no reference cycles (see search_from), so the
+    # cyclic collector would only rescan the heap: the predecessor rows
+    # live through a component's search, get promoted, and on a large
+    # graph set off full collections of everything the caller holds. It
+    # is paused for the enumeration and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [
+            ComponentCircuits(partition.component_of[comp[0]], enumerate_circuits(g, comp, cfg, distances))
+            for comp in nontrivial_components(partition)
+        ]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def merge_circuits(per_component: list[ComponentCircuits]) -> list[Circuit]:

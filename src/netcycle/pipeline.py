@@ -271,7 +271,10 @@ def build_report(
         pass
     report.scc_count = len(partition.components)
     report.scc_size_histogram = dict(sorted(Counter(len(comp) for comp in partition.components).items()))
-    report.circuits_by_length = {length: 0 for length in range(2, max_len + 1)}
+    # No circuit holds more companies than the graph has, so a cap above
+    # that lists no further length.
+    longest = min(max_len, report.company_count)
+    report.circuits_by_length = {length: 0 for length in range(2, longest + 1)}
     for item in per_component:
         for c in item.result.circuits:
             report.circuits_by_length[len(c)] = report.circuits_by_length.get(len(c), 0) + 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 from unittest import mock
@@ -18,9 +19,10 @@ from netcycle import (
     merge_circuits,
     tarjan,
 )
-from netcycle.circuits import _Budget, _search, component_adjacency, distances_to, search_from
+from netcycle.circuits import _Budget, _Distances, _search, component_adjacency, distances_to, search_from
 from netcycle.ledger import circuit_edges
-from netcycle.oracle import circuits_by_dfs
+from netcycle.oracle import OracleBudget, circuits_by_dfs
+from netcycle.scc import nontrivial_components
 
 from conftest import (
     OVERLAP_CIRCUITS,
@@ -257,7 +259,8 @@ class TestStartSearch:
         index, pred = graph
         budget = _Budget(None, None)
         out = []
-        search_from(index.verts.index(start), index, pred, max_len, budget, out)
+        dist = _Distances(len(index.verts)).dist
+        search_from(index.verts.index(start), index, pred, max_len, budget, out, dist, 0)
         return [tuple(index.verts[i] for i in c) for c in out], budget
 
     def finish(self, graph, start):
@@ -298,25 +301,35 @@ class TestStartSearch:
         graph = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
         index, pred = graph
         a, b, c, d, e = range(5)
+        # one list for every call, each at the next base, as _search keeps
+        # it: a slot left by an earlier call must read as no distance
+        shared = _Distances(len(index.verts))
+
+        def hops(s, max_len):
+            base = shared.base
+            shared.base += max_len + 1
+            distances_to(s, index, pred, max_len, shared.dist, base)
+            return {p: x - base for p, x in enumerate(shared.dist) if x >= base}
+
         assert pred == {a: [b, d], b: [c], c: [d], d: [e], e: [a]}
         # the BFS runs out of vertices before max_len - 2 hops
-        assert distances_to(a, index, pred, 5) == {a: 0, b: 1, d: 1, c: 2, e: 2}
-        assert distances_to(a, index, pred, 4) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        assert hops(a, 5) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        assert hops(a, 4) == {a: 0, b: 1, d: 1, c: 2, e: 2}
         # max_len - 1 = 2 hops back: E, a successor of A, gets its distance
         # through its own successor D; C, which A does not reach in one
         # hop, gets none
-        assert distances_to(a, index, pred, 3) == {a: 0, b: 1, d: 1, e: 2}
+        assert hops(a, 3) == {a: 0, b: 1, d: 1, e: 2}
         # E -> A is no edge, so at cap 2 no successor of A is 1 hop back
-        assert distances_to(a, index, pred, 2) == {a: 0}
+        assert hops(a, 2) == {a: 0}
         # A is D's successor and 2 hops back through E, until A is searched
-        assert distances_to(d, index, pred, 3) == {d: 0, e: 1, a: 2}
+        assert hops(d, 3) == {d: 0, e: 1, a: 2}
         self.finish(graph, "A")
         assert a not in pred and pred[e] == []
         # a finished successor gets no distance
-        assert distances_to(d, index, pred, 3) == {d: 0, e: 1}
+        assert hops(d, 3) == {d: 0, e: 1}
         # and B's BFS stops at E
-        assert distances_to(b, index, pred, 6) == {b: 0, c: 1, d: 2, e: 3}
-        assert distances_to(b, index, pred, 5) == {b: 0, c: 1, d: 2, e: 3}
+        assert hops(b, 6) == {b: 0, c: 1, d: 2, e: 3}
+        assert hops(b, 5) == {b: 0, c: 1, d: 2, e: 3}
 
     def test_hub_is_searched_first(self, monkeypatch):
         # H trades both ways with each of A, B, C, which also form a ring:
@@ -455,3 +468,102 @@ def test_search_leaves_no_cyclic_garbage(max_circuits):
     result, found = cyclic_garbage(lambda: enumerate_circuits(g, positions(g, g.vertices), cfg))
     assert result.circuits and result.truncated == (max_circuits is not None)
     assert found == 0
+
+
+
+def test_enumerate_graph_pauses_the_collector_and_restores_it(monkeypatch):
+    """The search runs with the cyclic collector off, and enumerate_graph
+    leaves it as it found it: on, off, or on after a failed search."""
+    g = complete_digraph(4)
+    partition = tarjan(g)
+    cfg = EnumerationConfig(max_len=3)
+    inner = circuits.search_from
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        inner(*args)
+
+    monkeypatch.setattr(circuits, "search_from", spy)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        assert len(merge_circuits(enumerate_graph(g, partition, cfg))) == 14
+        assert gc.isenabled() and seen and not any(seen)
+        gc.disable()
+        enumerate_graph(g, partition, cfg)
+        assert not gc.isenabled()
+        gc.enable()
+
+        def fail(*args):
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(circuits, "search_from", fail)
+        with pytest.raises(RuntimeError):
+            enumerate_graph(g, partition, cfg)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+def clustered_graph(rng, sizes, p, cross):
+    """One cluster of each size in `sizes`, each a ring with random chords
+    and so one nontrivial component, plus random edges from each cluster
+    into earlier ones. Tarjan lists components in reverse topological
+    order, so a component searched later has successors in components
+    searched before it. Ids are shuffled, so the clusters' positions in
+    the index interleave."""
+    names = [f"v{i:02d}" for i in range(sum(sizes))]
+    rng.shuffle(names)
+    g = DebtGraph()
+    clusters = []
+    for size in sizes:
+        members, names = names[:size], names[size:]
+        for i, u in enumerate(members):
+            g.add_obligation(u, members[i - 1], rng.randint(1, 50))
+            for v in members:
+                if v != u and v != members[i - 1] and rng.random() < p:
+                    g.add_obligation(u, v, rng.randint(1, 50))
+            for earlier in clusters:
+                for v in earlier:
+                    if rng.random() < cross:
+                        g.add_obligation(u, v, rng.randint(1, 50))
+        clusters.append(members)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10_000), st.lists(st.integers(2, 6), min_size=2, max_size=4),
+    st.floats(0.1, 0.6), st.integers(2, 7), st.one_of(st.none(), st.integers(1, 8)),
+)
+def test_shared_distances_match_a_fresh_search_per_component(seed, sizes, p, max_len, max_circuits):
+    """enumerate_graph searches every component on one distance list,
+    where slots left by earlier components and by truncated searches stay
+    in place. Each component still gets what a search of it alone, on a
+    list of its own, gives: the same circuits and truncation, and the same
+    starts, each with the same number of DFS expansions, so no search
+    extends into a slot another one left. Untruncated, that is every
+    circuit within the cap."""
+    g = clustered_graph(random.Random(seed), sizes, p, 0.3)
+    partition = tarjan(g)
+    cfg = EnumerationConfig(max_len=max_len, max_circuits=max_circuits)
+    starts = []
+    inner = circuits.search_from
+
+    def spy(s, index, pred, max_len, budget, *args):
+        ticks = budget.ticks
+        try:
+            inner(s, index, pred, max_len, budget, *args)
+        finally:
+            starts.append((s, budget.ticks - ticks))
+
+    with mock.patch.object(circuits, "search_from", spy):
+        shared = enumerate_graph(g, partition, cfg)
+        shared_starts = starts[:]
+        del starts[:]
+        fresh = [enumerate_circuits(g, comp, cfg) for comp in nontrivial_components(partition)]
+    assert len(fresh) == len(sizes)
+    assert [item.result for item in shared] == fresh
+    assert shared_starts == starts
+    if not any(res.truncated for res in fresh):
+        assert merge_circuits(shared) == circuits_by_dfs(g, max_len, OracleBudget(max_vertices=24))

@@ -396,6 +396,22 @@ def test_strict_circuits_truncation_writes_nothing(tmp_path, overlap_csv, capsys
     assert json.loads(structured.read_text(encoding="utf-8"))["components"][0]["truncated"] is True
 
 
+def test_huge_cap_lists_no_length_past_the_company_count(tmp_path, capsys):
+    # a cap far above the graph's two companies: one row, not a million
+    csv_path = tmp_path / "pair.csv"
+    csv_path.write_text(
+        "invoice_id,debtor,creditor,amount_minor,issue_date\n"
+        "I1,A,B,100,2020-01-01\nI2,B,A,40,2020-01-01\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(csv_path), "--out-dir", str(out), "--max-len", "1000000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["circuits_by_length"] == {"2": 1}
+    rows = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["2", "1"]]
+
+
 def test_environment_sets_no_flag(tmp_path, overlap_csv, capsys, monkeypatch):
     monkeypatch.setenv("NETCYCLE_RUN_MAX_LEN", "3")
     monkeypatch.setenv("NETCYCLE_RUN_MODE", "bogus")
