@@ -135,8 +135,10 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
                  entry.get("truncated", False), entry.get("truncation_reason"))
                 for entry in json.loads(text)["components"]
             ]
-        # RecursionError: JSON nested deeper than the parser's recursion limit
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
+        # RecursionError: JSON nested deeper than the parser's recursion
+        # limit; ValueError, JSONDecodeError's base: also an integer longer
+        # than the interpreter converts (4 300 digits by default)
+        except (ValueError, RecursionError, KeyError, TypeError) as err:
             raise InvoiceError(path, f"not a circuits artifact: {err!r}") from None
         listed: set[int] = set()
         for idx, circuits, truncated, reason in entries:

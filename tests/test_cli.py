@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netcycle
-from netcycle import generate_synthetic, write_invoices_csv
+from netcycle import generate_synthetic, ingest_csv, write_invoices_csv
 from netcycle.cli import main
+from netcycle.ledger import MAX_AMOUNT_DIGITS
 
 from test_pipeline import INTRO_CSV, OVERLAP_CSV, strip_timings
 
@@ -194,6 +196,27 @@ def test_row_with_extra_field_is_input_error(tmp_path, capsys):
     assert "ingested 3 invoices" in err and "(1 rejected)" in err
 
 
+# one digit past the limit, and past the 4 300 digits Python converts by default
+@pytest.mark.parametrize("digits", [MAX_AMOUNT_DIGITS + 1, 5000])
+def test_overlong_amount_is_input_error(tmp_path, capsys, digits):
+    bad = tmp_path / "long.csv"
+    bad.write_text(INTRO_CSV + f"I9,A,B,{'9' * digits},2019-01-01\n", encoding="utf-8")
+    reason = f"line 5: amount_minor has more than {MAX_AMOUNT_DIGITS} digits"
+    out = tmp_path / "g.json"
+    assert main(["ingest", "--input", str(bad), "--out", str(out)]) == 2
+    assert f"input error: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ingest", "--input", str(bad), "--out", str(out), "--lenient"]) == 0
+    assert f"rejected {reason}" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == ingest_csv(io.StringIO(INTRO_CSV)).graph.to_json()
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    assert main(["run", "--input", str(bad), "--out-dir", str(run_dir)]) == 2
+    assert reason in capsys.readouterr().err
+    assert list(run_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "long.csv", "run"]
+
+
 def _graph_text(vertices, edges) -> str:
     return json.dumps({
         "vertices": vertices,
@@ -224,6 +247,9 @@ BAD_GRAPHS = {
     "edge_missing_amount": json.dumps({"vertices": ["A", "B"], "edges": [{"debtor": "A", "creditor": "B"}]}),
     "edge_not_an_object": json.dumps({"vertices": ["A", "B"], "edges": [["A", "B", 5]]}),
     "nested_past_recursion_limit": "[" * 100_000,
+    # past the 4 300 digits Python converts by default
+    "amount_past_int_limit": '{"vertices": ["A", "B"], "edges": [{"debtor": "A", "creditor": "B", '
+                             '"amount_minor": ' + "9" * 5000 + '}]}',
 }
 
 
@@ -300,6 +326,8 @@ def test_plan_rejects_circuits_that_cannot_be_settled(tmp_path, capsys, line):
     '{"components": [{"scc_index": 0, "circuits": ["ABC"]}]}',
     '{"components": [{"scc_index": 0, "circuits": [{"A": 1, "B": 2, "C": 3}]}]}',
     pytest.param("[" * 100_000, id="nested_past_recursion_limit"),
+    pytest.param('{"components": [{"scc_index": ' + "1" * 5000 + ', "circuits": []}]}',
+                 id="index_past_int_limit"),
 ])
 def test_plan_rejects_malformed_circuits_json(tmp_path, capsys, text):
     graph = _intro_graph(tmp_path)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import sys
 from datetime import date
 from fractions import Fraction
 
@@ -176,6 +177,29 @@ class TestCsv:
         assert len(result.rejects) == len(bad) + 1
         assert result.graph.weight("A", "B") == 15
 
+    def test_longest_amounts_aggregate_and_round_trip(self):
+        # ten amounts of the most digits allowed sum on one edge to one
+        # more digit, which graph.json must still write and read back
+        longest = "9" * ledger.MAX_AMOUNT_DIGITS
+        rows = "".join(f"I{i},A,B,{longest},2019-01-01\n" for i in range(10))
+        result = ingest_csv(io.StringIO("invoice_id,debtor,creditor,amount_minor,issue_date\n" + rows))
+        assert result.accepted == 10
+        assert result.graph.weight("A", "B") == 10 * int(longest)
+        text = result.graph.to_json()
+        assert DebtGraph.from_json(text) == result.graph
+
+    def test_amount_past_the_interpreter_limit_is_rejected(self):
+        # an interpreter may convert fewer digits than MAX_AMOUNT_DIGITS
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = ingest_csv(io.StringIO(self.CSV + f"I4,A,B,{'7' * 700},2019-01-01\n"), strict=False)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.accepted == 3
+        assert [r.locator for r in result.rejects] == ["line 5"]
+        assert result.rejects[0].reason.startswith("amount_minor cannot be read")
+
     @pytest.mark.parametrize("company", ["X,Y", "X\nY", "X\rY"])
     def test_company_id_with_delimiter_is_rejected(self, company):
         text = f'invoice_id,debtor,creditor,amount_minor,issue_date\nI1,"{company}",B,5,2020-01-01\nI2,B,C,5,2020-01-01\n'
@@ -223,9 +247,22 @@ class TestCsv:
         assert rows[-1][1] == ["I4", "X\nY", "B", "ten"]
 
 
+# The longest amount_minor the CSV format allows, written out here rather
+# than read from ledger.MAX_AMOUNT_DIGITS, the code under test.
+REFERENCE_MAX_DIGITS = 4000
+
+
+def _reference_company_id(company: object, locator: str) -> None:
+    if not isinstance(company, str) or not company:
+        raise InvoiceError(locator, f"company id must be a non-empty string, got {company!r}")
+    if any(ch in company for ch in ",\r\n"):
+        raise InvoiceError(locator, f"company id {company!r} contains a comma or line break")
+
+
 def _reference_parse_row(row: dict, locator: str) -> Invoice:
     """The per-row parse before row-inline ingest, over a DictReader row,
-    plus the extra-field rule (DictReader files extra fields under None)."""
+    plus the extra-field and amount-length rules (DictReader files extra
+    fields under None)."""
     if None in row:
         n = len(ledger.CSV_HEADER)
         raise InvoiceError(locator, f"extra field(s): {n + len(row[None])} fields, expected {n}")
@@ -235,6 +272,8 @@ def _reference_parse_row(row: dict, locator: str) -> Invoice:
     raw_amount = row["amount_minor"]
     if not (raw_amount.isascii() and raw_amount.isdigit()):
         raise InvoiceError(locator, f"amount_minor is not ASCII digits: {raw_amount!r}")
+    if len(raw_amount) > REFERENCE_MAX_DIGITS:
+        raise InvoiceError(locator, f"amount_minor has more than {REFERENCE_MAX_DIGITS} digits")
     try:
         # YYYY-MM-DD only: from Python 3.11 fromisoformat also takes 20200101
         if len(row["issue_date"]) != 10 or row["issue_date"][7] != "-":
@@ -245,16 +284,28 @@ def _reference_parse_row(row: dict, locator: str) -> Invoice:
     return Invoice(row["invoice_id"], row["debtor"], row["creditor"], int(raw_amount), issued)
 
 
+def _reference_check_invoice(item: Invoice, seen_ids: set[str], locator: str) -> None:
+    """The per-invoice checks before row-inline ingest, first failure first."""
+    if item.invoice_id in seen_ids:
+        raise InvoiceError(locator, f"duplicate invoice_id {item.invoice_id!r}")
+    _reference_company_id(item.debtor, locator)
+    _reference_company_id(item.creditor, locator)
+    if item.debtor == item.creditor:
+        raise InvoiceError(locator, "debtor equals creditor")
+    if item.amount <= 0:
+        raise InvoiceError(locator, f"amount must be a positive integer, got {item.amount!r}")
+
+
 def reference_ingest_csv(text: str, strict: bool) -> IngestResult:
     """The ingest loop before row-inline ingest: DictReader, the dict
-    parse, then _check_invoice and add_obligation per row."""
+    parse, then the invoice checks and add_obligation per row."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     assert reader.fieldnames == ledger.CSV_HEADER
     graph, rejects, seen_ids, accepted = DebtGraph(), [], set(), 0
     for row in reader:
         try:
             item = _reference_parse_row(row, f"line {reader.line_num}")
-            ledger._check_invoice(item, seen_ids, f"invoice {item.invoice_id!r}")
+            _reference_check_invoice(item, seen_ids, f"invoice {item.invoice_id!r}")
         except InvoiceError as err:
             if strict:
                 raise
@@ -274,8 +325,8 @@ row_companies = st.one_of(
     st.sampled_from(["A", "B", "C ", "é"]), st.sampled_from(["", "A,B", "X\nY", "X\rY"])
 )
 row_amounts = st.one_of(
-    st.sampled_from(["5", "017"]),
-    st.sampled_from(["0", "00", "\u0663", "+5", "1_000", " 7", "-5", ""]),
+    st.sampled_from(["5", "017", "9" * REFERENCE_MAX_DIGITS]),
+    st.sampled_from(["0", "00", "\u0663", "+5", "1_000", " 7", "-5", "", "9" * (REFERENCE_MAX_DIGITS + 1)]),
 )
 row_dates = st.one_of(
     st.just("2020-01-01"),
@@ -579,7 +630,7 @@ def reference_from_json(text: str) -> DebtGraph:
         raise InvoiceError("graph", "'vertices' and 'edges' must be lists")
     g = DebtGraph()
     for i, v in enumerate(vertices):
-        ledger._check_company_id(v, f"vertices[{i}]")
+        _reference_company_id(v, f"vertices[{i}]")
     for i, v in enumerate(vertices):
         if v in g.vertices:
             raise InvoiceError(f"vertices[{i}]", f"company id {v!r} is listed twice")
@@ -591,12 +642,14 @@ def reference_from_json(text: str) -> DebtGraph:
         except (KeyError, TypeError):
             raise InvoiceError(locator, "expected 'debtor', 'creditor' and 'amount_minor'") from None
         for company in (u, v):
-            ledger._check_company_id(company, locator)
+            _reference_company_id(company, locator)
             if company not in g.vertices:
                 raise InvoiceError(locator, f"company id {company!r} is not in 'vertices'")
         if u == v:
             raise InvoiceError(locator, "debtor equals creditor")
-        ledger._check_amount(amount, locator)
+        # bool is an int subclass; True must not pass as an amount of 1
+        if type(amount) is not int or amount <= 0:
+            raise InvoiceError(locator, f"amount must be a positive integer, got {amount!r}")
         if g.weight(u, v):
             raise InvoiceError(locator, f"edge {u!r} -> {v!r} is listed twice")
         g.add_obligation(u, v, amount)
