@@ -44,6 +44,13 @@ CSV_HEADER = ["invoice_id", "debtor", "creditor", "amount_minor", "issue_date"]
 # accepted amounts, edge weights and plan totals stay far below that.
 MAX_AMOUNT_DIGITS = 4000
 
+# Every graph.json edge weight is below this. It admits the sum of 10**20
+# ingested amounts on one pair, and since a plan's total never exceeds
+# the sum of the graph's weights, every later sum stays far below 4 300
+# digits; a weight near that limit would pass graph.json only to crash
+# the plans.json write.
+EDGE_AMOUNT_BOUND = 10 ** (MAX_AMOUNT_DIGITS + 20)
+
 
 class InvoiceError(ValueError):
     """A record failed validation. `locator` names the offending record."""
@@ -248,8 +255,8 @@ class DebtGraph:
         written raises InvoiceError: text that is not JSON, nests past the
         recursion limit or holds an int too long to read, missing keys, an
         id that is empty or holds a delimiter, a vertex or an edge listed
-        twice, a self-loop, an amount that is not a positive int, an edge
-        to an unlisted vertex."""
+        twice, a self-loop, an amount that is not a positive int below
+        EDGE_AMOUNT_BOUND, an edge to an unlisted vertex."""
         try:
             payload = json.loads(text)
         except (ValueError, RecursionError) as err:  # ValueError: also an int past 4 300 digits
@@ -275,7 +282,7 @@ class DebtGraph:
             try:
                 u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
                 # the keys of `adj` passed _check_company_id above
-                ok = u in adj and v in adj and u != v and type(amount) is int and amount > 0
+                ok = u in adj and v in adj and u != v and type(amount) is int and 0 < amount < EDGE_AMOUNT_BOUND
             except (KeyError, TypeError):  # not an object, a key missing, an unhashable id
                 ok = False
             if not ok:
@@ -363,6 +370,8 @@ def _check_amount(amount: object, locator: str) -> None:
     # bool is an int subclass; True must not pass as an amount of 1
     if type(amount) is not int or amount <= 0:
         raise InvoiceError(locator, f"amount must be a positive integer, got {amount!r}")
+    if amount >= EDGE_AMOUNT_BOUND:
+        raise InvoiceError(locator, f"amount has more than {MAX_AMOUNT_DIGITS + 20} digits")
 
 
 def _plain_ids(ids: Sequence[object]) -> bool:
@@ -435,6 +444,10 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
     mode raises the first failure, lenient mode collects them all. A
     failure of the CSV layer (read_invoices) ends the read in either mode.
 
+    Accepted invoice ids are remembered as their UTF-8 bytes and compared
+    exactly, so Unicode-equivalent spellings (a precomposed and a
+    decomposed accent, say) are different ids.
+
     Each company is held as one string object: the first accepted row that
     names it adds its id to `ids` and gives it an empty row in the graph,
     and every later row's edge keys are that object, not the copy parsed
@@ -445,7 +458,7 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
     adj = graph._adj
     ids: dict[CompanyId, CompanyId] = {}  # each accepted id -> the one object the graph keeps
     rejects: list[RejectedRecord] = []
-    seen_ids: set[str] = set()
+    seen_ids: set[bytes] = set()  # each accepted invoice id, as its UTF-8 bytes
     accepted = 0
     n_fields = len(CSV_HEADER)
     for line_num, fields in read_invoices(stream):
@@ -469,7 +482,11 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
                 date.fromisoformat(raw_date)
             except ValueError:
                 raise InvoiceError(f"line {line_num}", f"issue_date is not an ISO date: {raw_date!r}") from None
-            if invoice_id in seen_ids:
+            # a short id's bytes take 48 bytes against 64 for the str, about
+            # 8 MB over 500 000 ids at ingest's peak; surrogatepass encodes
+            # every str, lone surrogates too, one to one
+            key = invoice_id.encode("utf-8", "surrogatepass")
+            if key in seen_ids:
                 raise InvoiceError(f"invoice {invoice_id!r}", f"duplicate invoice_id {invoice_id!r}")
             # the ids in `ids` passed _check_company_id when they were added
             d, c = ids.get(debtor), ids.get(creditor)
@@ -486,7 +503,7 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
                 raise
             rejects.append(RejectedRecord(err.locator, err.reason))
             continue
-        seen_ids.add(invoice_id)
+        seen_ids.add(key)
         if d is None:
             d = ids[debtor] = debtor
             adj[d] = {}

@@ -250,6 +250,11 @@ BAD_GRAPHS = {
     # past the 4 300 digits Python converts by default
     "amount_past_int_limit": '{"vertices": ["A", "B"], "edges": [{"debtor": "A", "creditor": "B", '
                              '"amount_minor": ' + "9" * 5000 + '}]}',
+    # readable, but a plan's grand total over ten such 2-cycles is not
+    "amount_past_edge_bound": _graph_text(
+        [f"{side}{i}" for i in range(10) for side in "AB"],
+        [e for i in range(10) for e in ((f"A{i}", f"B{i}", 10**4299 - 1), (f"B{i}", f"A{i}", 10**4299 - 1))],
+    ),
 }
 
 
@@ -257,11 +262,17 @@ BAD_GRAPHS = {
 def test_malformed_graph_json_is_input_error(tmp_path, capsys, case):
     graph = tmp_path / "graph.json"
     graph.write_text(BAD_GRAPHS[case], encoding="utf-8")
-    out = tmp_path / "circuits.txt"
-    assert main(["circuits", "--graph", str(graph), "--out", str(out)]) == 2
-    assert "input error" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["scc", "--graph", str(graph)]) == 2
+    circuits = tmp_path / "given.txt"
+    circuits.write_text("A0,B0\n", encoding="utf-8")
+    for command in (
+        ["circuits", "--graph", str(graph)],
+        ["scc", "--graph", str(graph)],
+        ["plan", "--graph", str(graph), "--circuits", str(circuits)],
+    ):
+        out = tmp_path / "out"
+        assert main([*command, "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_non_utf8_graph_json_is_input_error(tmp_path, capsys):

@@ -250,6 +250,8 @@ class TestCsv:
 # The longest amount_minor the CSV format allows, written out here rather
 # than read from ledger.MAX_AMOUNT_DIGITS, the code under test.
 REFERENCE_MAX_DIGITS = 4000
+# The bound on a graph.json edge weight, 20 digits past the longest amount.
+REFERENCE_EDGE_BOUND = 10 ** (REFERENCE_MAX_DIGITS + 20)
 
 
 def _reference_company_id(company: object, locator: str) -> None:
@@ -320,7 +322,10 @@ def reference_ingest_csv(text: str, strict: bool) -> IngestResult:
 # CSV rows: blank lines, five-field rows with each field drawn half the
 # time from values that pass and half from values that fail one check, and
 # rows of one to seven fields of any kind.
-invoice_ids = st.sampled_from(["I1", "I2", "I3", ""])
+# Different strings that are easy to confuse. Ingest keeps ids as UTF-8
+# bytes, and these must stay apart there as they do as strings.
+CONFUSABLE_IDS = ["I1", "I1 ", "i1", "\u00e9", "e\u0301", "\U0001f600", "\ud83d\ude00", "\udc80", "\udc81"]
+invoice_ids = st.sampled_from(["I2", "I3", "", *CONFUSABLE_IDS])
 row_companies = st.one_of(
     st.sampled_from(["A", "B", "C ", "é"]), st.sampled_from(["", "A,B", "X\nY", "X\rY"])
 )
@@ -371,6 +376,12 @@ class TestRowInlineIngest:
     @example([["I1", "A", "A", "00", "2020-01-01"], ["I2", "A", "B", "\u0663", "2020-01-01"]])
     @example([["I1", "X\nY", "B", "5", "2020-01-01"], ["I2", "A", "B"], ["", "A", "B", "5", "2020-01-01"]])
     @example([["I1", "B", "X\rY", "5", "2020-01-01"], ["I2", "B", "X\nY", "5", "2020-01-01"]])
+    # a rejected row leaves its id free for a later row
+    @example([["I1", "A", "A", "5", "2020-01-01"], ["I1", "A", "B", "5", "2020-01-01"]])
+    # ids that differ as strings are each accepted once, then refused as repeats
+    @example([[i, "A", "B", "5", "2020-01-01"] for i in CONFUSABLE_IDS * 2])
+    # a lone surrogate repeated is a duplicate like any other id
+    @example([["\udc80", "A", "B", "5", "2020-01-01"], ["\udc80", "B", "C", "5", "2020-01-01"]])
     def test_matches_reference_loop(self, rows):
         text = csv_text(rows)
         for strict in (True, False):
@@ -580,6 +591,18 @@ class TestGraphJson:
         loaded = DebtGraph.from_json(text)
         assert loaded == g and one_row_per_company(loaded)
 
+    def test_edge_amount_bound(self):
+        def load(amount):
+            return DebtGraph.from_json(json.dumps({
+                "vertices": ["A", "B"],
+                "edges": [{"debtor": "A", "creditor": "B", "amount_minor": amount}],
+            }))
+
+        assert load(REFERENCE_EDGE_BOUND - 1).weight("A", "B") == REFERENCE_EDGE_BOUND - 1
+        with pytest.raises(InvoiceError) as exc:
+            load(REFERENCE_EDGE_BOUND)
+        assert (exc.value.locator, exc.value.reason) == ("edges[0]", "amount has more than 4020 digits")
+
     def test_vertices_without_edges(self):
         g = DebtGraph()
         g.add_vertex("lonely")
@@ -650,6 +673,8 @@ def reference_from_json(text: str) -> DebtGraph:
         # bool is an int subclass; True must not pass as an amount of 1
         if type(amount) is not int or amount <= 0:
             raise InvoiceError(locator, f"amount must be a positive integer, got {amount!r}")
+        if amount >= REFERENCE_EDGE_BOUND:
+            raise InvoiceError(locator, f"amount has more than {REFERENCE_MAX_DIGITS + 20} digits")
         if g.weight(u, v):
             raise InvoiceError(locator, f"edge {u!r} -> {v!r} is listed twice")
         g.add_obligation(u, v, amount)
@@ -661,7 +686,9 @@ json_edges = st.one_of(
     st.fixed_dictionaries({
         "debtor": json_ids,
         "creditor": json_ids,
-        "amount_minor": st.sampled_from([1, 5, 0, -5, True, 5.0, "5", 10**20]),
+        "amount_minor": st.sampled_from(
+            [1, 5, 0, -5, True, 5.0, "5", 10**20, REFERENCE_EDGE_BOUND - 1, REFERENCE_EDGE_BOUND]
+        ),
     }),
     st.sampled_from([["A", "B", 5], "A", 5, None, {"debtor": "A", "creditor": "B"}]),
 )
