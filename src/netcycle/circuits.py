@@ -14,11 +14,17 @@ order.
 
 The search is length-aware (after Gupta & Suzumura, "Finding All
 Bounded-Length Simple Cycles in a Directed Graph", 2021): a reverse BFS
-from s gives each vertex's hop distance back to s, and the path extends to
-w only if a circuit through w still fits the cap. The BFS stops at
-max_len - 2 hops, short of the ball's largest layer: a vertex max_len - 1
-hops back fits only as s's first step, so only s's own successors get
-that distance, each from its successor row. The hub-first start order
+from s gives each vertex's hop distance d back to s, and the path extends
+to a successor w only if w is off the path and len(path) + d <= max_len,
+i.e. a circuit through w can still fit the cap. Only distances to s prune,
+so nothing within the cap is lost. The BFS stops at max_len - 2 hops,
+short of the ball's largest layer: a vertex max_len - 1 hops back passes
+that test only while len(path) == 1, as s's first step, so only s's own
+successors get that distance, each in one hop from its successor row: a
+live successor w of s with no distance yet is max_len - 1 hops back if one
+of w's own successors is max_len - 2 hops back. Every other vertex meets
+the same test as with the full ball, and a BFS that runs out of vertices
+earlier has already found every distance. The hub-first start order
 follows degeneracy-style orderings (Eppstein, Löffler & Strash, ISAAC
 2010).
 
@@ -34,7 +40,8 @@ shares. Instead of being cleared, it is stamped: each start takes a new
 base b, max_len + 1 above the previous start's, and a vertex d hops back
 stores b + d. Any slot below b (a non-member, an earlier start, a vertex
 out of reach, or a value left by an earlier start or component) means no
-distance, so a start costs only the slots its BFS writes.
+distance, so a start costs only the slots its BFS writes, and the
+distance test reads b <= dist[w] <= b + max_len - len(path).
 """
 
 from __future__ import annotations
@@ -78,12 +85,18 @@ class EnumerationConfig:
     per_scc_time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_len < 2:
-            raise ValueError("max_len must be >= 2")
-        if self.max_circuits is not None and self.max_circuits < 1:
-            raise ValueError("max_circuits must be >= 1 when set")
-        if self.per_scc_time_budget is not None and self.per_scc_time_budget <= 0:
-            raise ValueError("per_scc_time_budget must be positive when set")
+        # bool is an int subclass, but True is no length, count or time
+        if isinstance(self.max_len, bool) or not isinstance(self.max_len, int) or self.max_len < 2:
+            raise ValueError(f"max_len must be an int >= 2, got {self.max_len!r}")
+        count = self.max_circuits
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+            raise ValueError(f"max_circuits must be an int >= 1 when set, got {count!r}")
+        budget = self.per_scc_time_budget
+        # not budget > 0 also refuses NaN, which would never run out
+        if budget is not None and (
+            isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0
+        ):
+            raise ValueError(f"per_scc_time_budget must be a positive number when set, got {budget!r}")
 
 
 # Why a search stopped early: EnumerationResult.truncation_reason of a
@@ -108,18 +121,9 @@ class ComponentCircuits:
     result: EnumerationResult
 
 
-class _Budget:
-    __slots__ = ("remaining", "deadline", "reason", "ticks")
-
-    def __init__(self, max_circuits: int | None, time_budget: float | None):
-        self.remaining = -1 if max_circuits is None else max_circuits
-        self.deadline = None if time_budget is None else time.monotonic() + time_budget
-        self.reason: str | None = None
-        self.ticks = 0
-
-
 class _Stop(Exception):
-    pass
+    """Raised inside the DFS to end a truncated search; its one argument is
+    the truncation reason."""
 
 
 def component_adjacency(g: DebtGraph, component: Iterable[int]) -> dict[int, list[int]]:
@@ -149,139 +153,105 @@ class _Distances:
         self.base = 0
 
 
-def distances_to(
-    s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int, dist: list[int], b: int
-) -> None:
-    """Store in dist, as b + hops, the fewest hops from each vertex back to
-    s along the rows of `pred`, for every vertex a circuit of length <=
-    max_len through s can use; s itself gets b. Starts searched before s
-    are no longer in `pred` (see _search), so they get no distance: with b
-    above every value already in dist, every other slot stays below b.
+def _search(
+    index: GraphIndex, pred: dict[int, list[int]], cfg: EnumerationConfig, distances: _Distances | None = None
+) -> tuple[list[tuple[int, ...]], str | None, int]:
+    """Every circuit of length <= cfg.max_len among `pred`'s members, as
+    raw tuples that start at the start vertex that found them, in search
+    order, with the truncation reason (None for a full search) and the
+    number of DFS expansions.
 
-    The reverse BFS stops at max_len - 2 hops. Its next layer would be its
-    largest, and search_from can use a vertex max_len - 1 hops back only as
-    a successor of s. So only those are resolved, one hop at a time: a live
-    successor w of s with no distance yet is at max_len - 1 if one of w's
-    own successors is at max_len - 2. A BFS that runs out of vertices
-    earlier has already found every distance.
-    """
-    dist[s] = b
-    frontier = [s]
-    for d in range(b + 1, b + max_len - 1):
-        nxt = []
-        for w in frontier:
-            for u in pred[w]:
-                if dist[u] < b:
-                    dist[u] = d
-                    nxt.append(u)
-        if not nxt:
-            return
-        frontier = nxt
+    Starts go from the highest score len(pred[p]) * out-degree(p) down,
+    ties by ascending position. Consumes `pred`: a finished start leaves
+    its successors' rows and `pred` itself, so no later search reaches it,
+    not even through the one-hop last layer. A start whose own row is
+    already empty at its turn closes no circuit and is not searched. Each
+    searched start takes the next base of `distances` (a new one for the
+    index when None), max_len + 1 above the last, before its search
+    begins, so a later start or component never reads a distance of this
+    one, even after a truncation. Within a start, the DFS takes successors
+    by ascending position.
+
+    One extend closure serves every start: s, b, path and on_path are
+    cells the start loop rebinds, and limit is the largest stored distance
+    the next vertex may have, b + max_len - len(path)."""
     indptr, indices = index.indptr, index.indices
-    last = b + max_len - 2
-    for w in indices[indptr[s]:indptr[s + 1]]:
-        if dist[w] < b and w in pred:
-            for x in indices[indptr[w]:indptr[w + 1]]:
-                if dist[x] == last:
-                    dist[w] = last + 1
-                    break
+    max_len = cfg.max_len
+    if distances is None:
+        distances = _Distances(len(index.verts))
+    dist, step = distances.dist, max_len + 1
+    remaining = -1 if cfg.max_circuits is None else cfg.max_circuits
+    deadline = None if cfg.per_scc_time_budget is None else time.monotonic() + cfg.per_scc_time_budget
+    expansions = 0
+    out: list[tuple[int, ...]] = []
 
+    # One list of positions, scored before any row shrinks; the sort is
+    # stable, so equal scores keep pred's ascending order.
+    order = sorted(pred, key=lambda p: len(pred[p]) * (indptr[p + 1] - indptr[p]), reverse=True)
 
-def search_from(
-    s: int, index: GraphIndex, pred: dict[int, list[int]], max_len: int, budget: _Budget,
-    out: list[tuple[int, ...]], dist: list[int], b: int,
-) -> None:
-    """Append to out every circuit of length <= max_len through s among
-    the vertices still in `pred`'s rows, each as a tuple that starts at s,
-    in the order the DFS meets them (successors by ascending position).
-    distances_to fills dist at base b, which must be above every value
-    already in dist.
-
-    The path extends to a successor w only if w has a distance d to s (it
-    is a member and not an earlier start), w is off the path and
-    len(path) + d <= max_len, i.e. a circuit through w can still fit the
-    cap: b <= dist[w] <= b + max_len - len(path). Only distances to s
-    prune, so nothing within the cap is lost. A vertex max_len - 1 hops
-    back passes only while len(path) == 1, as a successor of s, so
-    distances_to gives that distance to s's successors alone (see there);
-    every other vertex meets the same test as with the full ball.
-    """
-    indptr, indices = index.indptr, index.indices
-    distances_to(s, index, pred, max_len, dist, b)
-    top = b + max_len
-    path = [s]
-    on_path = {s}
-
-    def extend(v: int) -> None:
-        budget.ticks += 1
-        if budget.deadline is not None and (budget.ticks & 1023) == 0 and time.monotonic() >= budget.deadline:
-            budget.reason = TIME_BUDGET
-            raise _Stop
-        limit = top - len(path)
+    def extend(v: int, limit: int) -> None:
+        nonlocal expansions, remaining
+        expansions += 1
+        if deadline is not None and (expansions & 1023) == 0 and time.monotonic() >= deadline:
+            raise _Stop(TIME_BUDGET)
         for w in indices[indptr[v]:indptr[v + 1]]:
             if w == s:
                 out.append(tuple(path))
-                if budget.remaining > 0:
-                    budget.remaining -= 1
-                    if budget.remaining == 0:
-                        budget.reason = MAX_CIRCUITS
-                        raise _Stop
+                if remaining > 0:
+                    remaining -= 1
+                    if remaining == 0:
+                        raise _Stop(MAX_CIRCUITS)
                 continue
             # below b: an earlier start, a non-member, or too far from s
             if b <= dist[w] <= limit and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                extend(w)
+                extend(w, limit - 1)
                 path.pop()
                 on_path.discard(w)
 
-    try:
-        extend(s)
-    finally:
-        # extend's closure holds extend itself; unbinding it breaks that
-        # reference cycle, so each start vertex frees its state at once
-        # instead of leaving garbage for the cyclic collector.
-        del extend
-
-
-def _search(
-    index: GraphIndex, pred: dict[int, list[int]], cfg: EnumerationConfig, distances: _Distances | None = None
-) -> tuple[list[tuple[int, ...]], str | None]:
-    """Every start, from the highest score len(pred[p]) * out-degree(p)
-    down, ties by ascending position. Consumes `pred`: a finished start
-    leaves its successors' rows and `pred` itself, so no later search
-    reaches it, not even through distances_to's one-hop step. A start
-    whose own row is already empty at its turn closes no circuit and is
-    not searched. Raw circuits start at their start vertex, in search
-    order.
-
-    Each searched start takes the next base of `distances` (a new one for
-    the index when None), max_len + 1 above the last, before its search
-    begins, so a later start or component never reads a distance of this
-    one, even after a truncation."""
-    budget = _Budget(cfg.max_circuits, cfg.per_scc_time_budget)
-    out: list[tuple[int, ...]] = []
-    indptr, indices = index.indptr, index.indices
-    if distances is None:
-        distances = _Distances(len(index.verts))
-    dist, step = distances.dist, cfg.max_len + 1
-    # One list of positions, scored before any row shrinks; the sort is
-    # stable, so equal scores keep pred's ascending order.
-    order = sorted(pred, key=lambda p: len(pred[p]) * (indptr[p + 1] - indptr[p]), reverse=True)
     try:
         for s in order:
             if pred[s]:
                 b = distances.base
                 distances.base = b + step
-                search_from(s, index, pred, cfg.max_len, budget, out, dist, b)
+                # the reverse BFS to max_len - 2 hops, then, if it got that
+                # far, the one-hop last layer (see the module docstring)
+                dist[s] = b
+                frontier = [s]
+                for d in range(b + 1, b + max_len - 1):
+                    nxt = []
+                    for w in frontier:
+                        for u in pred[w]:
+                            if dist[u] < b:
+                                dist[u] = d
+                                nxt.append(u)
+                    if not nxt:
+                        break
+                    frontier = nxt
+                else:
+                    last = b + max_len - 2
+                    for w in indices[indptr[s]:indptr[s + 1]]:
+                        if dist[w] < b and w in pred:
+                            for x in indices[indptr[w]:indptr[w + 1]]:
+                                if dist[x] == last:
+                                    dist[w] = last + 1
+                                    break
+                path, on_path = [s], {s}
+                extend(s, b + max_len - 1)
             for w in indices[indptr[s]:indptr[s + 1]]:
                 row = pred.get(w)
                 if row is not None:
                     row.remove(s)
             del pred[s]
-    except _Stop:
-        return out, budget.reason
-    return out, None
+    except _Stop as stop:
+        return out, stop.args[0], expansions
+    finally:
+        # extend's closure holds extend itself; unbinding it breaks that
+        # reference cycle, so the search's state is freed at once instead
+        # of being left as garbage for the cyclic collector.
+        del extend
+    return out, None, expansions
 
 
 def enumerate_circuits(
@@ -298,7 +268,7 @@ def enumerate_circuits(
     list when None."""
     cfg = cfg or EnumerationConfig()
     index = g.index()
-    raw, reason = _search(index, component_adjacency(g, component), cfg, distances)
+    raw, reason, _ = _search(index, component_adjacency(g, component), cfg, distances)
     # Position order is id order, so rotating and sorting positions gives
     # the canonical rotation and lexicographic order of the ids.
     ordered = sorted(map(canonical_rotation, raw))
@@ -323,7 +293,7 @@ def enumerate_graph(
     check_parallelism(parallelism)
     cfg = cfg or EnumerationConfig()
     distances = _Distances(len(g.index().verts))
-    # The search makes no reference cycles (see search_from), so the
+    # The search makes no reference cycles (see _search), so the
     # cyclic collector would only rescan the heap: the predecessor rows
     # live through a component's search, get promoted, and on a large
     # graph set off full collections of everything the caller holds. It

@@ -19,7 +19,7 @@ from netcycle import (
     merge_circuits,
     tarjan,
 )
-from netcycle.circuits import _Budget, _Distances, _search, component_adjacency, distances_to, search_from
+from netcycle.circuits import _Distances, _search, component_adjacency
 from netcycle.ledger import circuit_edges
 from netcycle.oracle import OracleBudget, circuits_by_dfs
 from netcycle.scc import nontrivial_components
@@ -206,7 +206,7 @@ class TestTruncation:
         assert len(res.circuits) == min(k, len(full))
         assert set(res.circuits) <= set(full)
         index = g.index()
-        raw, _ = _search(index, component_adjacency(g, component), EnumerationConfig(max_len=6))
+        raw, _, _ = _search(index, component_adjacency(g, component), EnumerationConfig(max_len=6))
         first_k = [canonical_rotation(index.verts[i] for i in c) for c in raw[:k]]
         assert res.circuits == sorted(first_k)
         assert res.truncated == (k <= len(full))
@@ -225,6 +225,17 @@ def test_config_validation():
         EnumerationConfig(max_circuits=0)
     with pytest.raises(ValueError):
         EnumerationConfig(per_scc_time_budget=0)
+    # a NaN budget would never fire, and a length, count or budget of the
+    # wrong type would crash the search
+    for bad in (float("nan"), -1.0, "1", True):
+        with pytest.raises(ValueError):
+            EnumerationConfig(per_scc_time_budget=bad)
+    for bad in (2.5, 8.0, "8", True):
+        with pytest.raises(ValueError):
+            EnumerationConfig(max_len=bad)
+    for bad in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError):
+            EnumerationConfig(max_circuits=bad)
 
 
 def test_engine_names(tmp_path, intro_graph):
@@ -247,151 +258,153 @@ def test_engine_names(tmp_path, intro_graph):
             run_pipeline(PipelineConfig(tmp_path / "in.csv", tmp_path / "out", engine=name))
 
 
+class LoggedList(list):
+    """A list that logs every item assignment as (index, value)."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.writes = []
+
+    def __setitem__(self, i, value):
+        self.writes.append((i, value))
+        super().__setitem__(i, value)
+
+
+def logged_distances(n):
+    """A _Distances whose list logs every write the search makes."""
+    distances = _Distances(n)
+    distances.dist = LoggedList(distances.dist)
+    return distances
+
+
+def searched_starts(writes, max_len):
+    """The starts a search over a logged distance list searched, in order,
+    each with its hop distances: {position: hops}. The k-th searched start
+    stores b = k * (max_len + 1) for itself first, and b + hops for every
+    vertex its BFS reaches."""
+    searched = []
+    for p, value in writes:
+        k, hops = divmod(value, max_len + 1)
+        if k == len(searched):
+            searched.append((p, {}))
+        searched[k][1][p] = hops
+    return searched
+
+
 class TestStartSearch:
-    """One start vertex's search and its distance bound, on small graphs:
-    the graph's shared index and the whole vertex set's predecessor rows."""
+    """The start loop, each start's distance bound and its DFS, on small
+    graphs: _search over the whole vertex set's predecessor rows, on a
+    distance list that logs the starts it searched and their distances."""
 
-    def index(self, edges):
+    def search(self, edges, max_len=8):
+        """_search's raw circuits as ids, truncation reason and expansions,
+        and the searched starts as ids, each with its hop distances."""
         g = graph_of([(u, v, 1) for u, v in edges])
-        return g.index(), component_adjacency(g, positions(g, g.vertices))
-
-    def search(self, graph, start, max_len=8):
-        index, pred = graph
-        budget = _Budget(None, None)
-        out = []
-        dist = _Distances(len(index.verts)).dist
-        search_from(index.verts.index(start), index, pred, max_len, budget, out, dist, 0)
-        return [tuple(index.verts[i] for i in c) for c in out], budget
-
-    def finish(self, graph, start):
-        """Drop a searched start from its successors' rows and from the
-        rows' keys, as _search does."""
-        index, pred = graph
-        s = index.verts.index(start)
-        for w in index.indices[index.indptr[s]:index.indptr[s + 1]]:
-            if w in pred:
-                pred[w].remove(s)
-        del pred[s]
+        index = g.index()
+        distances = logged_distances(len(index.verts))
+        pred = component_adjacency(g, positions(g, g.vertices))
+        raw, reason, expansions = _search(index, pred, EnumerationConfig(max_len=max_len), distances)
+        assert pred == {}  # every start is finished
+        assert index == graph_of([(u, v, 1) for u, v in edges]).index()  # the index is untouched
+        ids = index.verts
+        searched = [(ids[s], {ids[p]: d for p, d in hops.items()})
+                    for s, hops in searched_starts(distances.dist.writes, max_len)]
+        return [tuple(ids[i] for i in c) for c in raw], reason, expansions, searched
 
     def test_records_three_cycle(self):
-        index = self.index([("A", "B"), ("B", "C"), ("C", "A")])
-        assert self.search(index, "A")[0] == [("A", "B", "C")]
-        # found once: a finished start leaves the rows, so B finds nothing
-        self.finish(index, "A")
-        assert self.search(index, "B")[0] == []
+        found, reason, expansions, searched = self.search([("A", "B"), ("B", "C"), ("C", "A")])
+        assert (found, reason, expansions) == ([("A", "B", "C")], None, 3)
+        # found once: a finished start leaves the rows, so B's row is empty
+        # at its turn, and then C's: neither is searched
+        assert [s for s, _ in searched] == ["A"]
 
     def test_dead_path_records_nothing(self):
-        found, budget = self.search(self.index([("A", "B"), ("B", "C")]), "A")
-        assert found == []
-        # B cannot reach A, so the distance bound prunes it unexpanded
-        assert budget.ticks == 1
+        found, reason, expansions, searched = self.search([("A", "B"), ("B", "C")])
+        assert (found, reason) == ([], None)
+        # B, the one start with a predecessor, is searched; C cannot reach
+        # B, so the distance bound prunes it unexpanded
+        assert searched == [("B", {"B": 0, "A": 1})]
+        assert expansions == 1
 
     def test_ring_beyond_cap_yields_nothing_and_leaves_no_state(self):
         edges = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")]
-        index = self.index(edges)
-        found, budget = self.search(index, "A", max_len=4)
-        assert found == []
-        assert budget.ticks == 1  # B is 4 hops from A: too far for the cap
-        assert budget.reason is None and budget.remaining == -1
-        assert index == self.index(edges)  # the index and rows are untouched
-        assert self.search(index, "A", max_len=5)[0] == [("A", "B", "C", "D", "E")]
+        found, reason, expansions, searched = self.search(edges, max_len=4)
+        assert (found, reason) == ([], None)
+        assert expansions == 1  # B is 4 hops from A: too far for the cap
+        assert searched == [("A", {"A": 0, "E": 1, "D": 2})]
+        assert self.search(edges, max_len=5)[:3] == ([("A", "B", "C", "D", "E")], None, 5)
 
     def test_distances_to(self):
-        # E -> D -> C -> B -> A, plus the shortcut D -> A and the edge A -> E
-        graph = self.index([("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")])
-        index, pred = graph
-        a, b, c, d, e = range(5)
-        # one list for every call, each at the next base, as _search keeps
-        # it: a slot left by an earlier call must read as no distance
-        shared = _Distances(len(index.verts))
+        # E -> D -> C -> B -> A, plus the shortcut D -> A and the edge A -> E;
+        # A and D score 2 (2 in x 1 out, 1 in x 2 out), so A goes first
+        edges = [("B", "A"), ("C", "B"), ("D", "C"), ("D", "A"), ("E", "D"), ("A", "E")]
 
-        def hops(s, max_len):
-            base = shared.base
-            shared.base += max_len + 1
-            distances_to(s, index, pred, max_len, shared.dist, base)
-            return {p: x - base for p, x in enumerate(shared.dist) if x >= base}
+        def hops(max_len):
+            return self.search(edges, max_len)[3]
 
-        assert pred == {a: [b, d], b: [c], c: [d], d: [e], e: [a]}
-        # the BFS runs out of vertices before max_len - 2 hops
-        assert hops(a, 5) == {a: 0, b: 1, d: 1, c: 2, e: 2}
-        assert hops(a, 4) == {a: 0, b: 1, d: 1, c: 2, e: 2}
+        # the BFS runs out of vertices before max_len - 2 hops; once A is
+        # done, E's row is empty, so D's BFS stops at E, and once D is done
+        # too, B's stops at C
+        assert hops(5) == hops(4) == [
+            ("A", {"A": 0, "B": 1, "D": 1, "C": 2, "E": 2}),
+            ("D", {"D": 0, "E": 1}),
+            ("B", {"B": 0, "C": 1}),
+        ]
         # max_len - 1 = 2 hops back: E, a successor of A, gets its distance
         # through its own successor D; C, which A does not reach in one
-        # hop, gets none
-        assert hops(a, 3) == {a: 0, b: 1, d: 1, e: 2}
+        # hop, gets none. A is D's successor and 2 hops back through E, but
+        # finished, so it gets no distance in D's search
+        assert hops(3) == [
+            ("A", {"A": 0, "B": 1, "D": 1, "E": 2}),
+            ("D", {"D": 0, "E": 1}),
+            ("B", {"B": 0, "C": 1}),
+        ]
         # E -> A is no edge, so at cap 2 no successor of A is 1 hop back
-        assert hops(a, 2) == {a: 0}
-        # A is D's successor and 2 hops back through E, until A is searched
-        assert hops(d, 3) == {d: 0, e: 1, a: 2}
-        self.finish(graph, "A")
-        assert a not in pred and pred[e] == []
-        # a finished successor gets no distance
-        assert hops(d, 3) == {d: 0, e: 1}
-        # and B's BFS stops at E
-        assert hops(b, 6) == {b: 0, c: 1, d: 2, e: 3}
-        assert hops(b, 5) == {b: 0, c: 1, d: 2, e: 3}
+        assert hops(2) == [("A", {"A": 0}), ("D", {"D": 0}), ("B", {"B": 0})]
 
-    def test_hub_is_searched_first(self, monkeypatch):
+    def test_hub_is_searched_first(self):
         # H trades both ways with each of A, B, C, which also form a ring:
         # H scores 3 in x 3 out, each of A, B, C 2 x 2
-        edges = [(x, "H") for x in "ABC"] + [("H", x) for x in "ABC"]
-        g = graph_of([(u, v, 1) for u, v in edges + [("A", "B"), ("B", "C"), ("C", "A")]])
-        starts = []
-        inner = circuits.search_from
-
-        def spy(s, *args):
-            starts.append(s)
-            inner(s, *args)
-
-        monkeypatch.setattr(circuits, "search_from", spy)
-        a, b, c, h = range(4)
-        pred = component_adjacency(g, positions(g, g.vertices))
-        raw, reason = _search(g.index(), pred, EnumerationConfig())
+        edges = [(x, "H") for x in "ABC"] + [("H", x) for x in "ABC"] + [("A", "B"), ("B", "C"), ("C", "A")]
+        found, reason, _, searched = self.search(edges)
         assert reason is None
         # ties keep position order; once A is done, B's and C's rows are
         # empty at their turns, so neither is searched
-        assert starts == [h, a]
+        assert [s for s, _ in searched] == ["H", "A"]
         # every circuit through H comes from H's search; the ring is left to A
-        assert [r[0] for r in raw] == [h] * (len(raw) - 1) + [a]
-        assert raw[-1] == (a, b, c)
-        assert len({canonical_rotation(r) for r in raw}) == len(raw)
+        assert [r[0] for r in found] == ["H"] * (len(found) - 1) + ["A"]
+        assert found[-1] == ("A", "B", "C")
+        assert len({canonical_rotation(r) for r in found}) == len(found)
+        g = graph_of([(u, v, 1) for u, v in edges])
         res = enumerate_circuits(g, positions(g, g.vertices))
         assert res.circuits == circuits_by_dfs(g, 8)
-        assert len(res.circuits) == len(raw)
+        assert len(res.circuits) == len(found)
         assert all(c == canonical_rotation(c) for c in res.circuits)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 9), st.integers(2, 9))
     def test_start_with_empty_row_is_not_searched(self, seed, n, max_len):
+        """The starts _search searches are those whose row still holds a
+        live predecessor at their turn, as the full-ball reference picks
+        them."""
         rng = random.Random(seed)
         g = random_graph(rng, n, rng.uniform(0.1, 0.6))
-        inner = circuits.search_from
+        index = g.index()
+        distances = logged_distances(len(index.verts))
+        pred = component_adjacency(g, range(len(index.verts)))
+        _search(index, pred, EnumerationConfig(max_len=max_len), distances)
+        starts = [s for s, _ in searched_starts(distances.dist.writes, max_len)]
+        assert starts == full_ball_search(g, max_len)[1]
+        assert enumerate_whole(g, EnumerationConfig(max_len=max_len)) == circuits_by_dfs(g, max_len)
 
-        def spy(s, index, pred, *args):
-            assert pred[s], "a start with an empty row was searched"
-            inner(s, index, pred, *args)
-
-        with mock.patch.object(circuits, "search_from", spy):
-            got = enumerate_whole(g, EnumerationConfig(max_len=max_len))
-        assert got == circuits_by_dfs(g, max_len)
-
-    def test_start_whose_only_predecessor_is_done_is_not_searched(self, monkeypatch):
+    def test_start_whose_only_predecessor_is_done_is_not_searched(self):
         # H -> A -> H and H -> B -> H: H scores 2 x 2 and goes first; then
         # A's and B's only predecessor is done, so their rows are empty
-        g = graph_of([("H", "A", 1), ("A", "H", 1), ("H", "B", 1), ("B", "H", 1)])
-        starts = []
-        inner = circuits.search_from
-
-        def spy(s, *args):
-            starts.append(s)
-            inner(s, *args)
-
-        monkeypatch.setattr(circuits, "search_from", spy)
-        a, b, h = range(3)
-        pred = component_adjacency(g, positions(g, g.vertices))
-        raw, reason = _search(g.index(), pred, EnumerationConfig())
-        assert reason is None and starts == [h]
-        assert sorted(raw) == [(h, a), (h, b)]
+        edges = [("H", "A"), ("A", "H"), ("H", "B"), ("B", "H")]
+        found, reason, _, searched = self.search(edges)
+        assert reason is None and [s for s, _ in searched] == ["H"]
+        assert sorted(found) == [("H", "A"), ("H", "B")]
+        g = graph_of([(u, v, 1) for u, v in edges])
         assert enumerate_circuits(g, positions(g, g.vertices)).circuits == circuits_by_dfs(g, 8)
 
     def test_rows_hold_members_only_at_graph_positions(self):
@@ -400,57 +413,65 @@ class TestStartSearch:
         a, c, e = range(3)
         pred = component_adjacency(g, [a, e])
         assert pred == {a: [e], e: []}
-        found, budget = self.search((g.index(), pred), "A")
-        assert found == []  # A -> C -> E -> A leaves the subset
-        assert budget.ticks == 1
+        distances = logged_distances(len(g.index().verts))
+        # A -> C -> E -> A leaves the subset: C is pruned unexpanded
+        assert _search(g.index(), pred, EnumerationConfig(), distances) == ([], None, 1)
+        assert searched_starts(distances.dist.writes, 8) == [(a, {a: 0, e: 1})]
 
 
 def full_ball_search(g, max_len):
     """The capped search over the whole graph, written out with the
     full-depth reverse BFS: every start from the highest in-degree times
-    out-degree down, ties by position; distances to s over the live
-    vertices up to max_len - 1 hops; successors by ascending position; a
-    finished start leaves the graph. Raw circuits in the order met."""
+    out-degree down, ties by position; a start with no live predecessor is
+    not searched; distances to s over the live vertices up to max_len - 1
+    hops; successors by ascending position; a finished start leaves the
+    graph. Raw circuits in the order met, the searched starts, and the
+    number of DFS expansions (calls of extend)."""
     index = g.index()
     succ = [index.indices[index.indptr[p]:index.indptr[p + 1]] for p in range(len(index.verts))]
     indegree = Counter(w for row in succ for w in row)
     order = sorted(range(len(succ)), key=lambda p: -indegree[p] * len(succ[p]))
     live = set(range(len(succ)))
-    out = []
+    out, searched, expansions = [], [], 0
     for s in order:
-        dist = {s: 0}
-        for d in range(1, max_len):
-            for u in live:
-                if u not in dist and any(dist.get(v) == d - 1 for v in succ[u]):
-                    dist[u] = d
+        if any(s in succ[u] for u in live):
+            searched.append(s)
+            dist = {s: 0}
+            for d in range(1, max_len):
+                for u in live:
+                    if u not in dist and any(dist.get(v) == d - 1 for v in succ[u]):
+                        dist[u] = d
 
-        def extend(path):
-            for w in succ[path[-1]]:
-                if w == s:
-                    out.append(tuple(path))
-                elif w in dist and len(path) + dist[w] <= max_len and w not in path:
-                    extend(path + [w])
+            def extend(path):
+                nonlocal expansions
+                expansions += 1
+                for w in succ[path[-1]]:
+                    if w == s:
+                        out.append(tuple(path))
+                    elif w in dist and len(path) + dist[w] <= max_len and w not in path:
+                        extend(path + [w])
 
-        extend([s])
+            extend([s])
         live.discard(s)
-    return out
+    return out, searched, expansions
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 10), st.floats(0.05, 0.4), st.integers(2, 8), st.integers(1, 40))
 def test_search_order_matches_full_ball_search(seed, n, p, max_len, k):
     """The one-hop step for s's successors prunes exactly as the full
-    ball did: _search meets the same circuits in the same order, and a
-    max_circuits=k search keeps the first k of them."""
+    ball did: _search meets the same circuits in the same order with the
+    same number of expansions, and a max_circuits=k search keeps the first
+    k of them."""
     g = random_graph(random.Random(seed), n, p)
-    expected = full_ball_search(g, max_len)
+    expected, _, expansions = full_ball_search(g, max_len)
 
     def search(max_circuits):
         pred = component_adjacency(g, range(len(g.index().verts)))
         return _search(g.index(), pred, EnumerationConfig(max_len=max_len, max_circuits=max_circuits))
 
-    assert search(None) == (expected, None)
-    raw, reason = search(k)
+    assert search(None) == (expected, None, expansions)
+    raw, reason, _ = search(k)
     assert raw == expected[:k]
     assert reason == ("max_circuits" if len(expected) >= k else None)
 
@@ -462,7 +483,7 @@ def test_search_leaves_no_cyclic_garbage(max_circuits):
     g = complete_digraph(6)
     index, pred = g.index(), component_adjacency(g, positions(g, g.vertices))
     cfg = EnumerationConfig(max_len=4, max_circuits=max_circuits)
-    (circuits, reason), found = cyclic_garbage(lambda: _search(index, pred, cfg))
+    (circuits, reason, _), found = cyclic_garbage(lambda: _search(index, pred, cfg))
     assert circuits and reason == ("max_circuits" if max_circuits else None)
     assert found == 0
     result, found = cyclic_garbage(lambda: enumerate_circuits(g, positions(g, g.vertices), cfg))
@@ -477,14 +498,14 @@ def test_enumerate_graph_pauses_the_collector_and_restores_it(monkeypatch):
     g = complete_digraph(4)
     partition = tarjan(g)
     cfg = EnumerationConfig(max_len=3)
-    inner = circuits.search_from
+    inner = circuits.enumerate_circuits
     seen = []
 
     def spy(*args):
         seen.append(gc.isenabled())
-        inner(*args)
+        return inner(*args)
 
-    monkeypatch.setattr(circuits, "search_from", spy)
+    monkeypatch.setattr(circuits, "enumerate_circuits", spy)
     was_enabled = gc.isenabled()
     try:
         gc.enable()
@@ -498,12 +519,13 @@ def test_enumerate_graph_pauses_the_collector_and_restores_it(monkeypatch):
         def fail(*args):
             raise RuntimeError("search failed")
 
-        monkeypatch.setattr(circuits, "search_from", fail)
+        monkeypatch.setattr(circuits, "enumerate_circuits", fail)
         with pytest.raises(RuntimeError):
             enumerate_graph(g, partition, cfg)
         assert gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
 
 def clustered_graph(rng, sizes, p, cross):
     """One cluster of each size in `sizes`, each a ring with random chords
@@ -540,30 +562,34 @@ def test_shared_distances_match_a_fresh_search_per_component(seed, sizes, p, max
     """enumerate_graph searches every component on one distance list,
     where slots left by earlier components and by truncated searches stay
     in place. Each component still gets what a search of it alone, on a
-    list of its own, gives: the same circuits and truncation, and the same
-    starts, each with the same number of DFS expansions, so no search
-    extends into a slot another one left. Untruncated, that is every
-    circuit within the cap."""
+    list of its own, gives: the same circuits in the same search order,
+    truncation and number of DFS expansions, and the same starts, each
+    with the same distances, so no search reads a slot another one left.
+    Untruncated, that is every circuit within the cap."""
     g = clustered_graph(random.Random(seed), sizes, p, 0.3)
     partition = tarjan(g)
     cfg = EnumerationConfig(max_len=max_len, max_circuits=max_circuits)
-    starts = []
-    inner = circuits.search_from
+    searches, lists = [], []
+    inner = circuits._search
 
-    def spy(s, index, pred, max_len, budget, *args):
-        ticks = budget.ticks
-        try:
-            inner(s, index, pred, max_len, budget, *args)
-        finally:
-            starts.append((s, budget.ticks - ticks))
+    def spy(*args):
+        searches.append(inner(*args))
+        return searches[-1]
 
-    with mock.patch.object(circuits, "search_from", spy):
+    def logged(n):
+        lists.append(logged_distances(n))
+        return lists[-1]
+
+    with mock.patch.object(circuits, "_search", spy), mock.patch.object(circuits, "_Distances", logged):
         shared = enumerate_graph(g, partition, cfg)
-        shared_starts = starts[:]
-        del starts[:]
+        assert len(lists) == 1
+        shared_starts = searched_starts(lists.pop().dist.writes, max_len)
+        shared_searches = searches[:]
+        del searches[:]
         fresh = [enumerate_circuits(g, comp, cfg) for comp in nontrivial_components(partition)]
-    assert len(fresh) == len(sizes)
+    assert len(fresh) == len(sizes) == len(lists)
     assert [item.result for item in shared] == fresh
-    assert shared_starts == starts
+    assert shared_searches == searches
+    assert shared_starts == [start for each in lists for start in searched_starts(each.dist.writes, max_len)]
     if not any(res.truncated for res in fresh):
         assert merge_circuits(shared) == circuits_by_dfs(g, max_len, OracleBudget(max_vertices=24))
