@@ -9,12 +9,12 @@ use and dropped by every mutation. The `graph.json` writer, Tarjan's SCC
 search and the circuit search all read that one index, so the ids are
 sorted and numbered once per graph state.
 
-`ingest_csv` puts each CSV row through one ordered chain of checks.
-`DebtGraph.from_json` accepts or explains: an edge that passes one inline
-test, the conjunction of every check, goes straight into the graph; one
-that fails it goes to the per-edge checks, which name the failure. Those
-checks on every edge made reading a 500 000-edge `graph.json` about half
-again slower, and `scc`, `circuits` and `plan` each read one.
+Every reader runs one ordered chain of checks per record, CSV rows in
+`ingest_csv` and `graph.json` vertices and edges in `DebtGraph.from_json`
+alike: the first check that fails names the record, and a record that
+passes them all goes straight into the graph. `_id_fault` states the
+company-id rule once for both, and a locator is built only for a record
+that fails.
 `DebtGraph.write_json` streams `graph.json` one source row at a time, so
 no copy of the whole text is held in memory.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import IO, Container, Iterable, Iterator, KeysView, Sequence
+from typing import IO, Iterable, Iterator, KeysView
 
 CompanyId = str
 
@@ -252,11 +252,14 @@ class DebtGraph:
     def from_json(cls, text: str) -> "DebtGraph":
         """Read a snapshot written by write_json, giving every listed vertex
         a row before any edge is read. Anything that it could not have
-        written raises InvoiceError: text that is not JSON, nests past the
-        recursion limit or holds an int too long to read, missing keys, an
-        id that is empty or holds a delimiter, a vertex or an edge listed
-        twice, a self-loop, an amount that is not a positive int below
-        EDGE_AMOUNT_BOUND, an edge to an unlisted vertex."""
+        written raises InvoiceError for the first failing check, in this
+        order: text that is not JSON, nests past the recursion limit or
+        holds an int too long to read; a missing 'vertices' or 'edges'
+        list; a vertex id that is not a non-empty string free of ',', '\\r'
+        and '\\n'; a vertex listed twice; then edge by edge, missing keys,
+        a debtor and then a creditor that is a bad id or not a listed
+        vertex, a self-loop, an amount that is not a positive int or not
+        below EDGE_AMOUNT_BOUND, an edge listed twice."""
         try:
             payload = json.loads(text)
         except (ValueError, RecursionError) as err:  # ValueError: also an int past 4 300 digits
@@ -267,28 +270,38 @@ class DebtGraph:
             raise InvoiceError("graph", "expected an object with 'vertices' and 'edges'") from None
         if not isinstance(vertices, list) or not isinstance(edges, list):
             raise InvoiceError("graph", "'vertices' and 'edges' must be lists")
-        if not _plain_ids(vertices):
-            for i, v in enumerate(vertices):
-                _check_company_id(v, f"vertices[{i}]")
+        # every id is checked before any repeat, so the first bad id wins
+        for i, v in enumerate(vertices):
+            if reason := _id_fault(v):
+                raise InvoiceError(f"vertices[{i}]", reason)
         g = cls()
-        g._adj = adj = {v: {} for v in vertices}
-        if len(adj) != len(vertices):
-            seen: set[CompanyId] = set()
-            for i, v in enumerate(vertices):
-                if v in seen:
-                    raise InvoiceError(f"vertices[{i}]", f"company id {v!r} is listed twice")
-                seen.add(v)
+        adj = g._adj
+        for i, v in enumerate(vertices):
+            if v in adj:
+                raise InvoiceError(f"vertices[{i}]", f"company id {v!r} is listed twice")
+            adj[v] = {}
         for i, e in enumerate(edges):
             try:
                 u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
-                # the keys of `adj` passed _check_company_id above
-                ok = u in adj and v in adj and u != v and type(amount) is int and 0 < amount < EDGE_AMOUNT_BOUND
-            except (KeyError, TypeError):  # not an object, a key missing, an unhashable id
-                ok = False
-            if not ok:
-                _check_edge(e, adj, f"edges[{i}]")
-                raise AssertionError(f"edges[{i}] passes _check_edge but not the inline test")
-            row = adj[u]
+            except (KeyError, TypeError):  # not an object, or a key missing
+                raise InvoiceError(f"edges[{i}]", "expected 'debtor', 'creditor' and 'amount_minor'") from None
+            # a lookup fails for an unlisted id (KeyError) or an unhashable
+            # one (TypeError); the keys of `adj` passed _id_fault above
+            try:
+                row = adj[u]
+            except (KeyError, TypeError):
+                raise InvoiceError(f"edges[{i}]", _id_fault(u) or f"company id {u!r} is not in 'vertices'") from None
+            try:
+                adj[v]
+            except (KeyError, TypeError):
+                raise InvoiceError(f"edges[{i}]", _id_fault(v) or f"company id {v!r} is not in 'vertices'") from None
+            if u == v:
+                raise InvoiceError(f"edges[{i}]", "debtor equals creditor")
+            # bool is an int subclass; True must not pass as an amount of 1
+            if type(amount) is not int or amount <= 0:
+                raise InvoiceError(f"edges[{i}]", f"amount must be a positive integer, got {amount!r}")
+            if amount >= EDGE_AMOUNT_BOUND:
+                raise InvoiceError(f"edges[{i}]", f"amount has more than {MAX_AMOUNT_DIGITS + 20} digits")
             if v in row:
                 raise InvoiceError(f"edges[{i}]", f"edge {u!r} -> {v!r} is listed twice")
             row[v] = amount
@@ -358,45 +371,14 @@ def density(g: DebtGraph) -> Fraction:
 # -- ingestion ----------------------------------------------------------
 
 
-def _check_company_id(company: object, locator: str) -> None:
+def _id_fault(company: object) -> str | None:
+    """Why `company` cannot be a company id, or None if it can."""
     if not isinstance(company, str) or not company:
-        raise InvoiceError(locator, f"company id must be a non-empty string, got {company!r}")
+        return f"company id must be a non-empty string, got {company!r}"
     # circuits.txt writes one circuit per line, ids joined by commas
     if "," in company or "\r" in company or "\n" in company:
-        raise InvoiceError(locator, f"company id {company!r} contains a comma or line break")
-
-
-def _check_amount(amount: object, locator: str) -> None:
-    # bool is an int subclass; True must not pass as an amount of 1
-    if type(amount) is not int or amount <= 0:
-        raise InvoiceError(locator, f"amount must be a positive integer, got {amount!r}")
-    if amount >= EDGE_AMOUNT_BOUND:
-        raise InvoiceError(locator, f"amount has more than {MAX_AMOUNT_DIGITS + 20} digits")
-
-
-def _plain_ids(ids: Sequence[object]) -> bool:
-    """Whether every item passes _check_company_id, tested over the whole
-    sequence at once."""
-    try:
-        joined = "".join(ids)
-    except TypeError:  # an item that is not a str
-        return False
-    return all(ids) and "," not in joined and "\r" not in joined and "\n" not in joined
-
-
-def _check_edge(e: object, vertices: Container[CompanyId], locator: str) -> None:
-    """The checks of one graph.json edge, first failure first."""
-    try:
-        u, v, amount = e["debtor"], e["creditor"], e["amount_minor"]
-    except (KeyError, TypeError):
-        raise InvoiceError(locator, "expected 'debtor', 'creditor' and 'amount_minor'") from None
-    for company in (u, v):
-        _check_company_id(company, locator)
-        if company not in vertices:
-            raise InvoiceError(locator, f"company id {company!r} is not in 'vertices'")
-    if u == v:
-        raise InvoiceError(locator, "debtor equals creditor")
-    _check_amount(amount, locator)
+        return f"company id {company!r} contains a comma or line break"
+    return None
 
 
 def _fields_reason(fields: list[str]) -> str:
@@ -488,12 +470,12 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
             key = invoice_id.encode("utf-8", "surrogatepass")
             if key in seen_ids:
                 raise InvoiceError(f"invoice {invoice_id!r}", f"duplicate invoice_id {invoice_id!r}")
-            # the ids in `ids` passed _check_company_id when they were added
+            # the ids in `ids` passed _id_fault when they were added
             d, c = ids.get(debtor), ids.get(creditor)
-            if d is None:
-                _check_company_id(debtor, f"invoice {invoice_id!r}")
-            if c is None:
-                _check_company_id(creditor, f"invoice {invoice_id!r}")
+            if d is None and (reason := _id_fault(debtor)):
+                raise InvoiceError(f"invoice {invoice_id!r}", reason)
+            if c is None and (reason := _id_fault(creditor)):
+                raise InvoiceError(f"invoice {invoice_id!r}", reason)
             if debtor == creditor:
                 raise InvoiceError(f"invoice {invoice_id!r}", "debtor equals creditor")
             if not amount:

@@ -313,12 +313,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """
     engine = resolve_engine(cfg.engine)
     check_parallelism(cfg.parallelism)
-    opt_cfg = cfg.optimizer()  # a bad mode or threshold fails before anything is written
+    # a bad cap, budget, mode or threshold fails before anything is written
+    enum_cfg, opt_cfg = cfg.enumeration(), cfg.optimizer()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any work
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
-        report = _run_into(stage, cfg, engine, opt_cfg)
+        report = _run_into(stage, cfg, engine, enum_cfg, opt_cfg)
         for path in stage.iterdir():
             os.replace(path, out / path.name)
     finally:
@@ -326,7 +327,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     return report
 
 
-def _run_into(out: Path, cfg: PipelineConfig, engine: str, opt_cfg: OptimizerConfig) -> RunReport:
+def _run_into(
+    out: Path, cfg: PipelineConfig, engine: str, enum_cfg: EnumerationConfig, opt_cfg: OptimizerConfig
+) -> RunReport:
     """run_pipeline's phases, each writing its artifacts into `out`."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -347,7 +350,6 @@ def _run_into(out: Path, cfg: PipelineConfig, engine: str, opt_cfg: OptimizerCon
     timings["scc"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    enum_cfg = cfg.enumeration()
     per_component = enumerate_graph(graph, partition, enum_cfg, engine, cfg.parallelism)
     merged = merge_circuits(per_component)
     (out / "circuits.txt").write_text(circuits_lines(merged), encoding="utf-8")

@@ -639,8 +639,8 @@ class TestGraphJson:
 
 
 def reference_from_json(text: str) -> DebtGraph:
-    """from_json before the bulk load: every check and add_obligation
-    per edge. Every id is checked before any repeat."""
+    """from_json written out plainly: every check and add_obligation per
+    edge. Every id is checked before any repeat."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -695,13 +695,19 @@ json_edges = st.one_of(
 
 
 class TestGraphJsonLoad:
-    """from_json's bulk load agrees with the per-edge checks: the same
-    graph, or the same first error."""
+    """from_json's ordered chain of checks agrees with the reference loop:
+    the same graph, or the same first error."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(json_ids, max_size=5), st.lists(json_edges, max_size=6))
     @example(["A", "B"], [{"debtor": "A", "creditor": "B", "amount_minor": 2}] * 2)
     @example(["A", "B", "A"], [{"debtor": "A", "creditor": "B", "amount_minor": 2}])
+    # the order of the chain: every vertex id before any repeat, then per
+    # edge the debtor's id, its listing, the creditor, the self-loop, the amount
+    @example(["A", "A", 1], [])
+    @example(["A"], [{"debtor": "", "creditor": "B", "amount_minor": 1}])
+    @example(["A"], [{"debtor": "A", "creditor": "B", "amount_minor": 0}])
+    @example(["A"], [{"debtor": "A", "creditor": "A", "amount_minor": True}])
     def test_matches_reference_loop(self, vertices, edges):
         text = json.dumps({"vertices": vertices, "edges": edges})
         results = []

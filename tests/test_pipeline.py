@@ -104,6 +104,18 @@ def test_bad_optimizer_settings_fail_before_any_write(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "setting", [{"max_len": 2.5}, {"max_circuits": 0}, {"time_budget": float("nan")}],
+    ids=["max_len", "max_circuits", "time_budget"],
+)
+def test_bad_enumeration_settings_fail_before_any_work(tmp_path, setting):
+    # the input does not exist: opening it would raise FileNotFoundError
+    cfg = PipelineConfig(tmp_path / "missing.csv", tmp_path / "out", **setting)
+    with pytest.raises(ValueError):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_lenient_truncation_flags_plans(tmp_path):
     cfg = PipelineConfig(
         write_csv(tmp_path, OVERLAP_CSV), tmp_path / "out", max_circuits=1, strict=False
