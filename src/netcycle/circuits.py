@@ -64,8 +64,11 @@ def resolve_engine(engine: str | None) -> str:
 
 
 def check_parallelism(parallelism: int) -> None:
-    """Components run one at a time: 1 is the only parallelism, and any
-    other value is a ValueError."""
+    """1 is the only parallelism, and any other value is a ValueError. The
+    value selects nothing: enumeration runs one component at a time, and
+    settlement.plan_per_scc decides from the host alone whether a forked
+    helper plans half of the components, with identical plans either
+    way."""
     if parallelism != 1:
         raise ValueError(f"parallelism must be 1, got {parallelism!r}")
 

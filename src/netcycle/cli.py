@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="artifact directory")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--parallelism", type=int, choices=(1,), default=1,
-                   help="components run one at a time; 1 is the only value")
+                   help="selects nothing; 1 is the only value")
     _add_enum_flags(p)
     _add_plan_flags(p)
     p.set_defaults(func=cmd_run)

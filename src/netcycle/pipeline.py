@@ -16,6 +16,7 @@ its pure-Python path whenever an indent is set.
 
 from __future__ import annotations
 
+import errno
 import io
 import math
 import os
@@ -40,6 +41,13 @@ from .circuits import (
 from .ledger import DebtGraph, DensityUndefinedError, IngestResult, density, ingest_csv
 from .scc import SccPartition, tarjan
 from .settlement import OptimizerConfig, SettlementPlan, plan_per_scc
+
+
+# What run_pipeline writes into its output directory.
+ARTIFACTS = (
+    "graph.json", "scc_sizes.csv", "circuits.txt", "circuits.json",
+    "plans.json", "report.json", "report.csv",
+)
 
 
 @dataclass
@@ -309,7 +317,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     write plans when enumeration was truncated (TruncatedInStrictMode).
     The artifacts are written into a temporary sibling of cfg.out_dir and
     moved into it only once the whole run has succeeded, so a refused or
-    failed run adds no file to cfg.out_dir.
+    failed run adds no file to cfg.out_dir. A directory at an artifact's
+    name under cfg.out_dir, which no file can replace, is refused with
+    IsADirectoryError before any work.
     """
     engine = resolve_engine(cfg.engine)
     check_parallelism(cfg.parallelism)
@@ -317,11 +327,14 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     enum_cfg, opt_cfg = cfg.enumeration(), cfg.optimizer()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any work
+    for name in ARTIFACTS:
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
         report = _run_into(stage, cfg, engine, enum_cfg, opt_cfg)
-        for path in stage.iterdir():
-            os.replace(path, out / path.name)
+        for name in ARTIFACTS:
+            os.replace(stage / name, out / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     return report

@@ -16,6 +16,7 @@ import netcycle
 from netcycle import generate_synthetic, ingest_csv, write_invoices_csv
 from netcycle.cli import main
 from netcycle.ledger import MAX_AMOUNT_DIGITS
+from netcycle.pipeline import ARTIFACTS
 
 from test_pipeline import INTRO_CSV, OVERLAP_CSV, strip_timings
 
@@ -553,6 +554,18 @@ def test_file_as_out_dir_is_input_error(tmp_path, overlap_csv, capsys):
     assert main(["run", "--input", str(overlap_csv), "--out-dir", str(occupied)]) == 2
     assert "input error" in capsys.readouterr().err
     assert occupied.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_directory_at_an_artifact_name_is_refused_before_any_work(tmp_path, overlap_csv, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", "--input", str(overlap_csv), "--out-dir", str(out)]) == 2
+    assert f"input error: [Errno 21] Is a directory: '{out / name}'" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [name]
+    assert not any((out / name).iterdir())
+    # no staging directory is left beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["invoices.csv", "out"]
 
 
 def test_scc_output(tmp_path, overlap_csv, capsys):

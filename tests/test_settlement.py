@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import heapq
+import os
 import random
+import threading
+import time
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,7 @@ from netcycle import (
     settle,
     tarjan,
 )
+from netcycle import settlement
 from netcycle.oracle import best_order_by_permutation
 from netcycle.ledger import Circuit
 from netcycle.settlement import EXACT_HARD_CAP, _slots
@@ -145,6 +151,19 @@ def reference_plan_for_order(g, circuits):
         steps.append(PlanStep(c, x, x * len(c)))
         total += x * len(c)
     return steps, total, skipped
+
+
+def reference_plan_per_scc(g, per_component, cfg):
+    """plan_per_scc's serial loop: one component at a time, in component
+    index order."""
+    plans = []
+    for item in sorted(per_component, key=lambda item: item.scc_index):
+        plan = optimize_order(g, item.result.circuits, cfg)
+        plan.scc_index = item.scc_index
+        plan.truncated = item.result.truncated
+        plan.truncation_reason = item.result.truncation_reason
+        plans.append(plan)
+    return plans
 
 
 def reference_replay(g, plan):
@@ -488,3 +507,158 @@ def test_plan_serialization(overlap_graph):
     assert list(payload) == [
         "scc_index", "mode", "steps", "total", "skipped", "truncated", "truncation_reason",
     ]
+
+
+def clusters(*shapes: str):
+    """Disjoint clusters, one per shape: "ring" a 3-company circuit, "k4"
+    and "k5" complete digraphs (20 and 84 circuits). The k-th cluster's ids
+    start with chr(97 + k), so the components come in the order given."""
+    edges = []
+    for k, shape in enumerate(shapes):
+        names = [f"{chr(97 + k)}{i}" for i in range({"ring": 3, "k4": 4, "k5": 5}[shape])]
+        if shape == "ring":
+            pairs = list(zip(names, names[1:] + names[:1]))
+        else:
+            pairs = [(u, v) for u in names for v in names if u != v]
+        edges += [(u, v, 10 + 7 * i) for i, (u, v) in enumerate(pairs)]
+    return graph_of(edges)
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Two to six disjoint clusters of two to five companies, each held
+    together by a ring and given random chords. Each cluster's weights go
+    up to 3, which makes equal-total orders common, or up to 10**9."""
+    edges = []
+    for k in range(draw(st.integers(2, 6))):
+        names = [f"{k}{c}" for c in "ABCDE"[: draw(st.integers(2, 5))]]
+        pairs = [(u, v) for u in names for v in names if u != v]
+        chosen = set(zip(names, names[1:] + names[:1])) | draw(st.sets(st.sampled_from(pairs)))
+        top = draw(st.sampled_from([3, 10**9]))
+        edges += [(u, v, draw(st.integers(1, top))) for u, v in sorted(chosen)]
+    return graph_of(edges)
+
+
+def refused_or_plans(call):
+    try:
+        return call()
+    except ExactSearchRefused as err:
+        return str(err)
+
+
+class TestPlanningHelper:
+    """plan_per_scc with a forked helper planning every other component."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        clustered_graphs(),
+        st.sampled_from(["auto", "exact", "greedy"]),
+        st.integers(1, EXACT_HARD_CAP),
+        st.one_of(st.none(), st.integers(1, 6)),
+    )
+    def test_helper_plans_equal_the_serial_loop(self, g, mode, threshold, max_circuits):
+        cfg = OptimizerConfig(mode, threshold)
+        per_component = enumerate_graph(g, tarjan(g), EnumerationConfig(max_circuits=max_circuits))
+        expected = refused_or_plans(lambda: reference_plan_per_scc(g, per_component, cfg))
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(settlement, "optimize_order", wraps=optimize_order) as own:
+            got = refused_or_plans(lambda: plan_per_scc(g, tarjan(g), None, cfg, per_component=per_component))
+        assert got == expected
+        # The hosts this suite runs on have two or more CPUs.
+        assert fork.call_count == 1
+        if not isinstance(expected, str):
+            # this process planned only its own half: the odd positions
+            assert own.call_count == len(per_component) // 2
+
+    def test_one_component_is_planned_without_a_fork(self, overlap_graph):
+        expected = reference_plan_per_scc(
+            overlap_graph, enumerate_graph(overlap_graph, tarjan(overlap_graph)), OptimizerConfig()
+        )
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            assert plan_per_scc(overlap_graph, tarjan(overlap_graph)) == expected
+
+    def test_a_second_thread_keeps_planning_serial(self):
+        g = clusters("ring", "k4", "ring", "k4")
+        expected = reference_plan_per_scc(g, enumerate_graph(g, tarjan(g)), OptimizerConfig())
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+                plans = plan_per_scc(g, tarjan(g))
+        finally:
+            release.set()
+            waiter.join()
+        assert plans == expected
+
+    @pytest.mark.parametrize("death", ["exit", "interrupt", "system-exit", "error", "orphaned"])
+    def test_a_helper_that_dies_gives_the_serial_plans(self, death):
+        # The helper takes the even positions: a ring, the k4 and a ring.
+        # "error" fails its second component, so the first comes back and
+        # the rest are planned again here.
+        g = clusters("ring", "k5", "k4", "ring", "ring")
+        per_component = enumerate_graph(g, tarjan(g))
+        expected = reference_plan_per_scc(g, per_component, OptimizerConfig())
+        parent, real, calls = os.getpid(), settlement._ordered, []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                calls.append(args)
+                if len(calls) == 2:
+                    if death == "exit":
+                        os._exit(3)
+                    if death == "interrupt":
+                        raise KeyboardInterrupt
+                    if death == "system-exit":
+                        raise SystemExit(0)
+                    if death == "error":
+                        raise RuntimeError("planning failed")
+            return real(*args)
+
+        orphaned = mock.patch.object(os, "getppid", return_value=0) if death == "orphaned" else nullcontext()
+        with mock.patch.object(settlement, "_ordered", dying), orphaned, \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(settlement, "optimize_order", wraps=optimize_order) as own:
+            plans = plan_per_scc(g, tarjan(g), per_component=per_component)
+        assert plans == expected
+        assert fork.call_count == 1
+        # Its own two, then the helper's three again, or two after "error".
+        assert own.call_count == (4 if death == "error" else 5)
+
+    @pytest.mark.parametrize("shapes, count", [
+        (("ring", "k5", "k4", "ring"), 84),  # the lower one in this process's half
+        (("ring", "ring", "k4", "k5"), 20),  # the lower one in the helper's half
+    ], ids=["own-half-first", "helper-half-first"])
+    def test_exact_refusal_is_the_serial_one(self, shapes, count):
+        g = clusters(*shapes)
+        per_component = enumerate_graph(g, tarjan(g))
+        cfg = OptimizerConfig(mode="exact")
+        with pytest.raises(ExactSearchRefused) as serial:
+            reference_plan_per_scc(g, per_component, cfg)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, pytest.raises(ExactSearchRefused) as split:
+            plan_per_scc(g, tarjan(g), opt_cfg=cfg, per_component=per_component)
+        assert str(split.value) == str(serial.value)
+        assert str(serial.value) == f"{count} circuits exceeds the exact-mode cap of 12; use greedy mode"
+        assert fork.call_count == 1
+
+    def test_an_interrupt_kills_and_reaps_the_helper(self):
+        g = clusters("ring", "ring", "ring")
+        parent, real = os.getpid(), settlement._ordered
+
+        def stalled(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real(*args)
+
+        with mock.patch.object(settlement, "_ordered", stalled), \
+                mock.patch.object(settlement, "optimize_order", side_effect=KeyboardInterrupt):
+            started = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                plan_per_scc(g, tarjan(g))
+        assert time.monotonic() - started < 30
