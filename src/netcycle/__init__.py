@@ -34,13 +34,6 @@ from .ledger import (
     settle,
     write_invoices_csv,
 )
-from .oracle import (
-    BudgetExceeded,
-    OracleBudget,
-    best_order_by_permutation,
-    circuits_by_dfs,
-    scc_by_closure,
-)
 from .pipeline import (
     PipelineConfig,
     RunReport,

@@ -88,14 +88,16 @@ class EnumerationConfig:
     per_scc_time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but True is no length, count or time
-        if isinstance(self.max_len, bool) or not isinstance(self.max_len, int) or self.max_len < 2:
+        # exact ints: True is no length or count, and circuits.json writes
+        # max_len through dump_json, which takes no int subclass
+        if type(self.max_len) is not int or self.max_len < 2:
             raise ValueError(f"max_len must be an int >= 2, got {self.max_len!r}")
         count = self.max_circuits
-        if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+        if count is not None and (type(count) is not int or count < 1):
             raise ValueError(f"max_circuits must be an int >= 1 when set, got {count!r}")
         budget = self.per_scc_time_budget
-        # not budget > 0 also refuses NaN, which would never run out
+        # True, an int, is no time; not budget > 0 also refuses NaN, which
+        # would never run out
         if budget is not None and (
             isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0
         ):

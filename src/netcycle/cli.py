@@ -27,6 +27,7 @@ from .pipeline import (
     TruncatedInStrictMode,
     circuits_lines,
     dump_json,
+    refuse_directories,
     run_pipeline,
     scc_sizes_csv,
     write_circuits_json,
@@ -210,6 +211,8 @@ def cmd_scc(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
+    # before any work: else --out could be written and then --json refused
+    refuse_directories(path for path in (args.out, args.json) if path)
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     cfg = EnumerationConfig(args.max_len, args.max_circuits, args.time_budget)

@@ -13,6 +13,10 @@ from datetime import date, timedelta
 
 from .ledger import Invoice
 
+# Invoice dates are drawn uniformly from the DATE_SPAN_DAYS days from START_DATE.
+START_DATE = date(2019, 1, 1)
+DATE_SPAN_DAYS = 365
+
 
 class InfeasibleRequest(ValueError):
     """The requested vertex/edge counts cannot be realized."""
@@ -29,8 +33,6 @@ def generate_synthetic(
     seed: int = 0,
     min_amount: int = 100,
     max_amount: int = 10**9,
-    start_date: date = date(2019, 1, 1),
-    date_span_days: int = 365,
 ) -> list[Invoice]:
     """Invoices whose aggregated debt graph has exactly `companies`
     vertices and `edges` distinct directed edges, one invoice per edge.
@@ -81,7 +83,7 @@ def generate_synthetic(
     id_width = len(str(edges))
     for i, (debtor, creditor) in enumerate(chosen):
         amount = min(max_amount, max(min_amount, round(math.exp(rng.uniform(lo, hi)))))
-        issued = start_date + timedelta(days=rng.randrange(date_span_days))
+        issued = START_DATE + timedelta(days=rng.randrange(DATE_SPAN_DAYS))
         invoices.append(
             Invoice(f"INV{i + 1:0{id_width}d}", debtor, creditor, amount, issued)
         )

@@ -24,7 +24,7 @@ import shutil
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -119,9 +119,9 @@ def dump_json(payload: dict[str, object], fh: IO[str]) -> None:
     Each item of a top-level list is encoded on its own and written at
     once, so at most one item's text is held in memory; every other value
     is encoded whole. Values are encoded by `_encode`, which writes
-    json.dumps's indent-2 layout directly at the value's depth: strings,
-    ints, bools, None, floats, lists, tuples, and dicts whose keys are
-    strings or ints. Any other value or key raises TypeError.
+    json.dumps's indent-2 layout directly at the value's depth. It takes
+    exact types, not subclasses: str, int, bool, None, float, list, tuple,
+    and dict with str or int keys. Any other value or key raises TypeError.
     """
     write = fh.write
     sep = "{\n  "
@@ -142,8 +142,8 @@ def dump_json(payload: dict[str, object], fh: IO[str]) -> None:
 def _encode(value: object, nl: str) -> str:
     """`value` as json.dumps(value, indent=2) writes it, with every line
     after the first indented as `nl` ("\\n" and the indent of the line
-    the value starts on). Kinds are tested in json's order, exact types
-    first because they are the common case."""
+    the value starts on). Each kind is matched by its exact type, the
+    common ones first."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -159,11 +159,7 @@ def _encode(value: object, nl: str) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+    if kind is float:
         if value != value:
             return "NaN"
         if value == math.inf:
@@ -171,10 +167,6 @@ def _encode(value: object, nl: str) -> str:
         if value == -math.inf:
             return "-Infinity"
         return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return _array(value, nl)
-    if isinstance(value, dict):
-        return _object(value, nl)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -199,9 +191,9 @@ def _object(obj: dict, nl: str) -> str:
 
 def _key(key: object) -> str:
     """A dict key as json.dumps quotes it; only str and int keys are taken."""
-    if isinstance(key, str):
+    if type(key) is str:
         return encode_basestring_ascii(key)
-    if isinstance(key, int) and not isinstance(key, bool):
+    if type(key) is int:
         return f'"{int.__repr__(key)}"'
     raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
@@ -309,6 +301,14 @@ def build_report(
     return report
 
 
+def refuse_directories(paths: Iterable[str | Path]) -> None:
+    """Raise IsADirectoryError for the first of `paths` that is a
+    directory, which no written file can replace."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Ingest the invoice CSV and run components, circuits and plans,
     writing every artifact under cfg.out_dir.
@@ -327,9 +327,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     enum_cfg, opt_cfg = cfg.enumeration(), cfg.optimizer()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any work
-    for name in ARTIFACTS:
-        if (out / name).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    refuse_directories(out / name for name in ARTIFACTS)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
         report = _run_into(stage, cfg, engine, enum_cfg, opt_cfg)

@@ -432,7 +432,7 @@ def _plan_in_halves(
     # The helper exits 0 only once all of its bytes are written.
     if os.waitstatus_to_exitcode(status) == 0:
         for at, record in zip(range(0, len(items), 2), marshal.loads(sent)):
-            plans[at] = _plan(sorted(items[at].result.circuits), *_unpacked(record))
+            plans[at] = _plan(sorted(items[at].result.circuits), *record)
     return plans
 
 
@@ -440,7 +440,7 @@ def _helper(
     g: DebtGraph, items: list[ComponentCircuits], cfg: OptimizerConfig, fd: int, parent: int
 ) -> NoReturn:
     """The forked helper's whole life: plan `items` in order until one
-    raises, write the `_packed` results of those before it to `fd` as one
+    raises, write the `_ordered` results of those before it to `fd` as one
     list, and exit 0 once it is written, else 1. It stops early if its
     parent is gone. It leaves only by os._exit, whatever is raised, so it
     never unwinds into its parent's callers, flushes the stdio buffers it
@@ -457,7 +457,7 @@ def _helper(
             for item in items:
                 if os.getppid() != parent:
                     os._exit(1)  # orphaned: no one is left to read the results
-                records.append(_packed(*_ordered(g, sorted(item.result.circuits), cfg)))
+                records.append(_ordered(g, sorted(item.result.circuits), cfg))
         except Exception:
             pass  # the parent plans this component again
         data = memoryview(marshal.dumps(records))
@@ -469,17 +469,3 @@ def _helper(
     finally:
         os._exit(code)
 
-
-def _packed(mode: str, total: int, steps: list[tuple[int, int]], skipped: list[int]) -> tuple:
-    """An `_ordered` result as one flat tuple: mode, total, the step count,
-    each step's index and per_edge, then the skipped indices. The parent
-    holds every record that the helper sends at once, and a flat tuple
-    takes a fraction of the memory of nested lists and pairs."""
-    return (mode, total, len(steps), *[n for step in steps for n in step], *skipped)
-
-
-def _unpacked(record: tuple) -> _Ordered:
-    """The `_ordered` result that `_packed` made `record` from."""
-    mode, total, count = record[:3]
-    end = 3 + 2 * count
-    return mode, total, list(zip(record[3:end:2], record[4:end:2])), list(record[end:])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 from collections import Counter
+from enum import IntEnum
 from unittest import mock
 
 import pytest
@@ -218,6 +219,13 @@ class TestTruncation:
         assert res.truncation_reason is None
 
 
+class Count(IntEnum):
+    """An int subclass, which circuits.json could not write as max_len."""
+
+    THREE = 3
+    EIGHT = 8
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EnumerationConfig(max_len=1)
@@ -230,10 +238,10 @@ def test_config_validation():
     for bad in (float("nan"), -1.0, "1", True):
         with pytest.raises(ValueError):
             EnumerationConfig(per_scc_time_budget=bad)
-    for bad in (2.5, 8.0, "8", True):
+    for bad in (2.5, 8.0, "8", True, Count.EIGHT):
         with pytest.raises(ValueError):
             EnumerationConfig(max_len=bad)
-    for bad in (2.5, 3.0, "3", True):
+    for bad in (2.5, 3.0, "3", True, Count.THREE):
         with pytest.raises(ValueError):
             EnumerationConfig(max_circuits=bad)
 

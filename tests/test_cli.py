@@ -44,6 +44,13 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == f"netcycle {netcycle.__version__}\n"
 
 
+def test_the_cli_leaves_the_oracle_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(netcycle.__file__).parents[1]))
+    code = "import sys, netcycle.cli; sys.exit('netcycle.oracle' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr or "netcycle.cli imported netcycle.oracle"
+
+
 def test_run_reports_grand_total(tmp_path, overlap_csv, capsys):
     code = main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "out")])
     assert code == 0
@@ -566,6 +573,21 @@ def test_directory_at_an_artifact_name_is_refused_before_any_work(tmp_path, over
     assert not any((out / name).iterdir())
     # no staging directory is left beside it
     assert sorted(p.name for p in tmp_path.iterdir()) == ["invoices.csv", "out"]
+
+
+@pytest.mark.parametrize("directory", ["--out", "--json"])
+def test_circuits_refuses_a_directory_before_any_work(tmp_path, overlap_csv, capsys, directory):
+    graph = tmp_path / "g.json"
+    assert main(["ingest", "--input", str(overlap_csv), "--out", str(graph)]) == 0
+    paths = {"--out": tmp_path / "c.txt", "--json": tmp_path / "c.json"}
+    paths[directory].mkdir()
+    flags = ["--out", str(paths["--out"]), "--json", str(paths["--json"])]
+    capsys.readouterr()
+    for source in (graph, tmp_path / "missing.json"):  # the graph is not even read
+        assert main(["circuits", "--graph", str(source), *flags]) == 2
+        assert capsys.readouterr().err == f"input error: [Errno 21] Is a directory: '{paths[directory]}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["g.json", "invoices.csv", paths[directory].name])
+        assert not any(paths[directory].iterdir())
 
 
 def test_scc_output(tmp_path, overlap_csv, capsys):
