@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from datetime import date, timedelta
 
 from .ledger import Invoice
@@ -54,6 +55,8 @@ def generate_synthetic(
         )
     if not 0 < min_amount <= max_amount:
         raise InfeasibleRequest("need 0 < min_amount <= max_amount")
+    if max_amount > sys.float_info.max:  # amounts are drawn through math.exp
+        raise InfeasibleRequest("need max_amount <= the largest float")
 
     rng = random.Random(seed)
     names = _company_names(companies)

@@ -15,6 +15,7 @@ alike: the first check that fails names the record, and a record that
 passes them all goes straight into the graph. `_id_fault` states the
 company-id rule once for both, and a locator is built only for a record
 that fails.
+
 `DebtGraph.write_json` streams `graph.json` one source row at a time, so
 no copy of the whole text is held in memory.
 """

@@ -9,6 +9,8 @@ the circuit length.
 
 All paths settle on `_slots`, one table of the circuits' edge weights, so
 the graph is written only by `replay`, once the whole plan checks out.
+The searches and `plan_for_order` yield only their steps; `_plan` builds
+every plan from them.
 
 `plan_per_scc` plans every other component in one forked helper process
 when the process runs one thread, two or more CPUs are usable and two or
@@ -33,10 +35,10 @@ from .scc import SccPartition
 
 EXACT_HARD_CAP = 12  # exact mode's search grows exponentially with the circuit count
 
-# A plan by index into its sorted circuits: mode, total, steps as
-# (index, per_edge), skipped indices. Plans cross from the forked helper
-# in this form.
-_Ordered = tuple[str, int, list[tuple[int, int]], list[int]]
+# A plan by index into its sorted circuits: mode and steps as
+# (index, per_edge). Plans cross from the forked helper in this form;
+# `_plan` derives the amounts, the total and the skipped circuits.
+_Ordered = tuple[str, list[tuple[int, int]]]
 
 
 class StalePlanError(RuntimeError):
@@ -73,8 +75,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "greedy", "auto"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.exact_threshold <= EXACT_HARD_CAP:
-            raise ValueError(f"exact_threshold must be in 1..{EXACT_HARD_CAP}")
+        if type(self.exact_threshold) is not int or not 1 <= self.exact_threshold <= EXACT_HARD_CAP:
+            raise ValueError(
+                f"exact_threshold must be an int in 1..{EXACT_HARD_CAP}, got {self.exact_threshold!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,9 +137,7 @@ def _in_order(w: list[int], edges: list[tuple[int, ...]]) -> Iterator[int]:
         yield x
 
 
-def _exact_order(
-    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit]
-) -> tuple[int, list[tuple[int, int]], list[int]]:
+def _exact_order(w: list[int], edges: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     """Best settlement order by a memoized search for the best suffix from
     each settlement state.
 
@@ -160,14 +162,14 @@ def _exact_order(
     total reaches the incumbent's and for the winner; steps are a linked
     chain `(circuit index, per_edge, rest)`, unwound once at the end.
 
-    Returns the total, the steps as (circuit index, per_edge) and the
-    skipped circuits' indices, ascending.
+    Returns the steps as (circuit index, per_edge). A circuit's length is
+    the number of its slots.
     """
     users = [0] * len(w)  # per slot: bitmask of the circuits through it
     for i, ids in enumerate(edges):
         for e in ids:
             users[e] |= 1 << i
-    k = [len(c) for c in order]
+    k = [len(ids) for ids in edges]
     # state -> (total, sorted amounts, (circuit index, per_edge, rest) or None)
     memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple | None]] = {}
 
@@ -207,7 +209,7 @@ def _exact_order(
         return top, top_amounts, (top_i, top_x, top_suffix[2])
 
     try:
-        total, _, chain = best(tuple(w), [i for i in range(len(order)) if all([w[e] for e in edges[i]])])
+        _, _, chain = best(tuple(w), [i for i, ids in enumerate(edges) if all([w[e] for e in ids])])
     finally:
         # best's closure holds best itself; unbinding it breaks that
         # reference cycle, so the memo is freed at once instead of waiting
@@ -217,8 +219,7 @@ def _exact_order(
     while chain is not None:
         i, x, chain = chain
         steps.append((i, x))
-    taken = {i for i, _ in steps}
-    return total, steps, [i for i in range(len(order)) if i not in taken]
+    return steps
 
 
 def _with(amounts: tuple[int, ...], amount: int) -> tuple[int, ...]:
@@ -227,35 +228,29 @@ def _with(amounts: tuple[int, ...], amount: int) -> tuple[int, ...]:
     return amounts[:at] + (amount,) + amounts[at:]
 
 
-def _greedy_order(
-    w: list[int], edges: list[tuple[int, ...]], order: list[Circuit]
-) -> tuple[int, list[tuple[int, int]], list[int]]:
+def _greedy_order(w: list[int], edges: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     """Settle the largest current gain first. A lazy heap works because a
     circuit's value never increases as others settle: a fresh top entry is
-    the true maximum. Ties fall to the smaller canonical circuit: `order`
-    is sorted, and heap entries carry the index into it. Returns what
-    _exact_order does."""
-    heap = [(-min([w[e] for e in ids]) * len(c), i) for i, (c, ids) in enumerate(zip(order, edges))]
+    the true maximum. Ties fall to the smaller canonical circuit: the
+    circuits are sorted, and heap entries carry the index into them.
+    Returns the steps as (circuit index, per_edge), as _exact_order does."""
+    heap = [(-min([w[e] for e in ids]) * len(ids), i) for i, ids in enumerate(edges)]
     heapq.heapify(heap)
     steps: list[tuple[int, int]] = []
-    skipped: list[int] = []
-    total = 0
     while heap:
         neg_amount, i = heapq.heappop(heap)
         ids = edges[i]
         x = min([w[e] for e in ids])
         if x == 0:
-            skipped.append(i)
             continue
-        amount = x * len(order[i])
+        amount = x * len(ids)
         if amount != -neg_amount:
             heapq.heappush(heap, (-amount, i))
             continue
         for e in ids:
             w[e] -= x
         steps.append((i, x))
-        total += amount
-    return total, steps, sorted(skipped)
+    return steps
 
 
 def optimize_order(
@@ -276,7 +271,7 @@ def optimize_order(
 
 def _ordered(g: DebtGraph, order: list[Circuit], cfg: OptimizerConfig) -> _Ordered:
     """optimize_order's plan for the sorted circuits `order`, by index into
-    them: mode, total, steps as (index, per_edge) and skipped indices."""
+    them: its mode and its steps as (index, per_edge)."""
     mode = cfg.mode
     if mode == "auto":
         mode = "exact" if len(order) <= cfg.exact_threshold else "greedy"
@@ -287,17 +282,20 @@ def _ordered(g: DebtGraph, order: list[Circuit], cfg: OptimizerConfig) -> _Order
         )
     w, edges = _slots(g, order)
     search = _exact_order if mode == "exact" else _greedy_order
-    return (mode, *search(w, edges, order))
+    return mode, search(w, edges)
 
 
-def _plan(
-    order: list[Circuit], mode: str, total: int, steps: list[tuple[int, int]], skipped: list[int]
-) -> SettlementPlan:
-    """The plan that an `_ordered` result describes for `order`."""
+def _plan(order: list[Circuit], mode: str, steps: list[tuple[int, int]]) -> SettlementPlan:
+    """The plan whose steps settle `order[i]` for x per edge, for each
+    (i, x) in `steps`: each step's amount is x times the circuit's length,
+    the total is their sum, and every circuit of `order` in no step is
+    skipped, in `order`'s order."""
+    plan_steps = [PlanStep(order[i], x, x * len(order[i])) for i, x in steps]
+    taken = {i for i, _ in steps}
     return SettlementPlan(
-        steps=[PlanStep(order[i], x, x * len(order[i])) for i, x in steps],
-        total=total,
-        skipped=[order[i] for i in skipped],
+        steps=plan_steps,
+        total=sum([s.amount for s in plan_steps]),
+        skipped=[c for i, c in enumerate(order) if i not in taken],
         mode=mode,
     )
 
@@ -306,10 +304,7 @@ def plan_for_order(g: DebtGraph, circuits: Iterable[Circuit]) -> SettlementPlan:
     """Plan obtained by settling `circuits` in exactly the given order on
     their `_slots` table, skipping any that are worth zero at their turn."""
     circuits = list(circuits)
-    settled = list(_in_order(*_slots(g, circuits)))
-    steps = [PlanStep(c, x, x * len(c)) for c, x in zip(circuits, settled) if x]
-    skipped = [c for c, x in zip(circuits, settled) if not x]
-    return SettlementPlan(steps=steps, total=sum(s.amount for s in steps), skipped=skipped, mode="forced")
+    return _plan(circuits, "forced", [(i, x) for i, x in enumerate(_in_order(*_slots(g, circuits))) if x])
 
 
 def replay(g: DebtGraph, plan: SettlementPlan) -> DebtGraph:

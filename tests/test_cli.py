@@ -17,6 +17,7 @@ from netcycle import generate_synthetic, ingest_csv, write_invoices_csv
 from netcycle.cli import main
 from netcycle.ledger import MAX_AMOUNT_DIGITS
 from netcycle.pipeline import ARTIFACTS
+from netcycle.settlement import EXACT_HARD_CAP
 
 from test_pipeline import INTRO_CSV, OVERLAP_CSV, strip_timings
 
@@ -91,29 +92,42 @@ invoice_lists = st.lists(
 )
 
 
+K4 = [(u, v, 1) for u in "ABCD" for v in "ABCD" if u != v]  # 20 circuits within cap 4
+
+
 @settings(max_examples=30, deadline=None)
-@given(invoice_lists, st.integers(2, 5))
+@given(invoice_lists, st.integers(2, 5), st.sampled_from(["auto", "exact", "greedy"]))
 # a 4-cycle holds no circuit within cap 3, and E <-> F does
-@example([("A", "B", 5), ("B", "C", 5), ("C", "D", 5), ("D", "A", 5), ("E", "F", 3), ("F", "E", 4)], 3)
-@example([(" A", "B ", 100), ("B ", " A", 50), ("C\fD", "E\u2028F", 7), ("E\u2028F", "C\fD", 7)], 3)
-def test_chained_subcommands_reproduce_run(invoices, max_len):
+@example([("A", "B", 5), ("B", "C", 5), ("C", "D", 5), ("D", "A", 5), ("E", "F", 3), ("F", "E", 4)], 3, "auto")
+@example([(" A", "B ", 100), ("B ", " A", 50), ("C\fD", "E\u2028F", 7), ("E\u2028F", "C\fD", 7)], 3, "auto")
+@example(K4, 4, "exact")
+@example(K4, 4, "greedy")
+def test_chained_subcommands_reproduce_run(invoices, max_len, mode):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "invoices.csv").write_text("invoice_id,debtor,creditor,amount_minor,issue_date\n" + "".join(
             f"I{i},{u},{v},{w},2020-01-01\n" for i, (u, v, w) in enumerate(invoices)
         ), encoding="utf-8")
-        graph, cap = str(d / "graph.json"), ["--max-len", str(max_len)]
-        assert main(["run", "--input", str(d / "invoices.csv"), "--out-dir", str(d / "run"), *cap]) == 0
+        graph, cap, how = str(d / "graph.json"), ["--max-len", str(max_len)], ["--mode", mode]
         assert main(["ingest", "--input", str(d / "invoices.csv"), "--out", graph]) == 0
         assert main(["scc", "--graph", graph, "--out", str(d / "scc_sizes.csv")]) == 0
         assert main(["circuits", "--graph", graph, "--out", str(d / "circuits.txt"),
                      "--json", str(d / "circuits.json"), *cap]) == 0
-        for name in ("graph.json", "scc_sizes.csv", "circuits.txt", "circuits.json"):
-            assert (d / name).read_bytes() == (d / "run" / name).read_bytes(), name
+        components = json.loads((d / "circuits.json").read_text(encoding="utf-8"))["components"]
+        # exact mode refuses a component of more than EXACT_HARD_CAP circuits
+        refused = mode == "exact" and any(len(c["circuits"]) > EXACT_HARD_CAP for c in components)
+        code = 2 if refused else 0
+        assert main(["run", "--input", str(d / "invoices.csv"), "--out-dir", str(d / "run"), *cap, *how]) == code
+        if not refused:
+            for name in ("graph.json", "scc_sizes.csv", "circuits.txt", "circuits.json"):
+                assert (d / name).read_bytes() == (d / "run" / name).read_bytes(), name
         for source in ("circuits.json", "circuits.txt"):
             plans = d / f"plans_from_{source}"
-            assert main(["plan", "--graph", graph, "--circuits", str(d / source), "--out", str(plans)]) == 0
-            assert plans.read_bytes() == (d / "run" / "plans.json").read_bytes(), source
+            assert main(["plan", "--graph", graph, "--circuits", str(d / source), "--out", str(plans), *how]) == code
+            if refused:
+                assert not plans.exists(), source
+            else:
+                assert plans.read_bytes() == (d / "run" / "plans.json").read_bytes(), source
 
 
 def test_ingest_to_stdout_matches_out_file(tmp_path, overlap_csv, capsys):
@@ -163,6 +177,14 @@ def test_gen_then_run(tmp_path, capsys):
 
 def test_gen_infeasible_is_input_error(tmp_path):
     assert main(["gen", "--companies", "3", "--edges", "99", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_gen_amount_beyond_the_float_range_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen", "--companies", "4", "--edges", "4", "--min-amount", str(10**350),
+                 "--max-amount", str(10**400), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
 
 
 def test_missing_input_file(tmp_path):

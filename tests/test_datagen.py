@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import sys
 
 import pytest
 
@@ -70,6 +71,16 @@ def test_unique_invoice_ids():
 def test_infeasible_requests(companies, edges):
     with pytest.raises(InfeasibleRequest):
         generate_synthetic(companies, edges, seed=0)
+
+
+def test_amounts_up_to_the_largest_float_draw():
+    top = int(sys.float_info.max)
+    invoices = generate_synthetic(4, 4, seed=0, min_amount=top, max_amount=top)
+    assert [i.amount for i in invoices] == [top] * 4
+    with pytest.raises(InfeasibleRequest, match="max_amount"):
+        generate_synthetic(4, 4, seed=0, min_amount=top, max_amount=top + 1)
+    with pytest.raises(InfeasibleRequest, match="max_amount"):
+        generate_synthetic(4, 4, 0, top // 2, 10**309)
 
 
 def test_dense_small_request():

@@ -238,7 +238,7 @@ class TestExactOptimizer:
         with pytest.raises(ExactSearchRefused, match="greedy"):
             optimize_order(g, circuits[:13], OptimizerConfig(mode="exact"))
 
-    @pytest.mark.parametrize("threshold", [EXACT_HARD_CAP + 1, 40])
+    @pytest.mark.parametrize("threshold", [EXACT_HARD_CAP + 1, 40, True, 2.5, "3", None])
     def test_threshold_outside_one_to_cap_is_rejected(self, threshold):
         with pytest.raises(ValueError, match="exact_threshold"):
             OptimizerConfig(exact_threshold=threshold)
