@@ -189,6 +189,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    refuse_directories([args.out] if args.out else [])  # before the CSV is aggregated
     with open(args.input, encoding="utf-8", newline="") as fh:
         result = ingest_csv(fh, strict=not args.lenient)
     for reject in result.rejects:
@@ -205,6 +206,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_scc(args: argparse.Namespace) -> int:
+    refuse_directories([args.out] if args.out else [])
     partition = tarjan(_load_graph(args.graph))
     _write_or_print(scc_sizes_csv(partition), args.out)
     return EXIT_OK
@@ -232,6 +234,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    refuse_directories([args.out] if args.out else [])
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     per_component = _load_components(args.circuits, graph, partition)

@@ -1,12 +1,13 @@
 """Strongly connected components of the debt graph.
 
-Single-DFS lowlink computation over an explicit stack, so graphs with
-hundreds of thousands of vertices never touch the interpreter's recursion
-limit. The DFS runs over the graph's shared sorted index
-(`DebtGraph.index`), the same one the `graph.json` writer and the circuit
-search read, so it builds nothing of its own, and lists components as
-positions in it. Circuits can only exist inside a component, so
-downstream stages run per component.
+Pearce's one-array variant of Tarjan's search (Pearce, "A space-efficient
+algorithm for finding strongly connected components", IPL 116(1), 2016),
+run over an explicit stack, so graphs with hundreds of thousands of
+vertices never touch the interpreter's recursion limit. The DFS runs over
+the graph's shared sorted index (`DebtGraph.index`), the same one the
+`graph.json` writer and the circuit search read, so it builds nothing of
+its own, and lists components as positions in it. Circuits can only exist
+inside a component, so downstream stages run per component.
 """
 
 from __future__ import annotations
@@ -30,63 +31,61 @@ class SccPartition:
 
 def tarjan(g: DebtGraph) -> SccPartition:
     """SCC partition in O(|V| + |E|), visiting vertices and, from each,
-    successors in ascending position (id) order: the graph's index."""
+    successors in ascending position (id) order: the graph's index. One
+    number per vertex carries the search: rindex[v] is 0 until v is
+    visited, then its visit number (from 1), lowered while v is open to
+    the least rindex of its visited successors, then n + 1 + c once v is
+    in finished component c: above every visit number, so a finished
+    vertex never lowers another. It ends as component_of."""
     index = g.index()
     indptr, indices = index.indptr, index.indices
     n = len(index.verts)
 
-    UNVISITED = -1
-    order = [UNVISITED] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    rindex = [0] * n
+    stack: list[int] = []  # visited vertices whose component is still open
     components: list[list[int]] = []
-    component_of = [0] * n
-    counter = 0
+    visits = 0
 
     for root in range(n):
-        if order[root] != UNVISITED:
+        if rindex[root]:
             continue
-        # Frames hold (vertex, next successor slot); lowlink merging happens
-        # when a frame is resumed after its child completes.
-        work: list[tuple[int, int]] = [(root, indptr[root])]
+        visits += 1
+        rindex[root] = visits
+        # Frames hold (vertex, next successor slot, its visit number). A
+        # frame resumes at the slot of the child it went down into, so the
+        # same test reads what the child reached.
+        work = [(root, indptr[root], visits)]
         while work:
-            v, ptr = work.pop()
-            if ptr == indptr[v]:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            else:
-                # Returning from the child explored in the previous slot.
-                child = indices[ptr - 1]
-                low[v] = min(low[v], low[child])
-            advanced = False
-            while ptr < indptr[v + 1]:
+            v, ptr, number = work.pop()
+            end = indptr[v + 1]
+            while ptr < end:
                 w = indices[ptr]
-                ptr += 1
-                if order[w] == UNVISITED:
-                    work.append((v, ptr))
-                    work.append((w, indptr[w]))
-                    advanced = True
+                if not rindex[w]:
+                    work.append((v, ptr, number))
+                    visits += 1
+                    rindex[w] = visits
+                    work.append((w, indptr[w], visits))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            if low[v] == order[v]:
-                comp_index = len(components)
-                members: list[int] = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    members.append(u)
-                    component_of[u] = comp_index
-                    if u == v:
-                        break
+                if rindex[w] < rindex[v]:
+                    rindex[v] = rindex[w]
+                ptr += 1
+            else:
+                if rindex[v] < number:
+                    stack.append(v)  # v reaches an open vertex visited before it
+                    continue
+                # v is its component's root: the stacked vertices it reached
+                finished = n + 1 + len(components)
+                members = [v]
+                while stack and rindex[stack[-1]] >= number:
+                    members.append(stack.pop())
+                for u in members:
+                    rindex[u] = finished
                 members.sort()
                 components.append(members)
-    return SccPartition(components, component_of)
+    for c, members in enumerate(components):
+        for u in members:
+            rindex[u] = c
+    return SccPartition(components, rindex)
 
 
 def nontrivial_components(p: SccPartition) -> list[list[int]]:

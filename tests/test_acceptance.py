@@ -145,14 +145,20 @@ def test_criterion_7_desk_scale_performance(tmp_path):
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         write_invoices_csv(fh, invoices)
 
+    # Each cap's circuits-phase time is the least of three runs, so one
+    # host stall or garbage collection inside a phase cannot set the ratio.
     reports = {}
+    circuits_s = {}
     walls = {}
     for max_len in (4, 6, 8):
-        t0 = time.perf_counter()
-        reports[max_len] = run_pipeline(
-            PipelineConfig(csv_path, tmp_path / f"out{max_len}", max_len=max_len)
-        )
-        walls[max_len] = time.perf_counter() - t0
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report = run_pipeline(PipelineConfig(csv_path, tmp_path / f"out{max_len}", max_len=max_len))
+            runs.append((report.timings["circuits"], time.perf_counter() - t0))
+        reports[max_len] = report
+        circuits_s[max_len] = min(circuit for circuit, _ in runs)
+        walls[max_len] = max(wall for _, wall in runs)
 
     assert walls[6] < 600, f"pipeline at cap 6 took {walls[6]:.1f}s"
 
@@ -162,7 +168,7 @@ def test_criterion_7_desk_scale_performance(tmp_path):
             assert count <= reports[hi].circuits_by_length[length]
 
     # circuit computation cost grows steeply past cap 6
-    ratio = reports[8].timings["circuits"] / reports[6].timings["circuits"]
+    ratio = circuits_s[8] / circuits_s[6]
     assert ratio >= 2, f"circuits-phase wall ratio {ratio:.2f} < 2"
     _pass(
         7,

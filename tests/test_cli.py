@@ -612,6 +612,19 @@ def test_circuits_refuses_a_directory_before_any_work(tmp_path, overlap_csv, cap
         assert not any(paths[directory].iterdir())
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("ingest", ["--input"]), ("scc", ["--graph"]), ("plan", ["--graph", "--circuits"]),
+])
+def test_directory_at_out_is_refused_before_the_input_is_read(tmp_path, capsys, command, inputs):
+    out = tmp_path / "out"
+    out.mkdir()
+    missing = [arg for flag in inputs for arg in (flag, str(tmp_path / "missing"))]
+    assert main([command, *missing, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: [Errno 21] Is a directory: '{out}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not any(out.iterdir())
+
+
 def test_scc_output(tmp_path, overlap_csv, capsys):
     main(["ingest", "--input", str(overlap_csv), "--out", str(tmp_path / "g.json")])
     assert main(["scc", "--graph", str(tmp_path / "g.json")]) == 0
