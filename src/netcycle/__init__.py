@@ -26,12 +26,9 @@ from .ledger import (
     Invoice,
     InvoiceError,
     RejectedRecord,
-    StaleCircuitError,
     canonical_rotation,
-    circuit_value,
     density,
     ingest_csv,
-    settle,
     write_invoices_csv,
 )
 from .pipeline import (

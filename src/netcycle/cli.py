@@ -189,7 +189,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    refuse_directories([args.out] if args.out else [])  # before the CSV is aggregated
     with open(args.input, encoding="utf-8", newline="") as fh:
         result = ingest_csv(fh, strict=not args.lenient)
     for reject in result.rejects:
@@ -206,15 +205,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_scc(args: argparse.Namespace) -> int:
-    refuse_directories([args.out] if args.out else [])
     partition = tarjan(_load_graph(args.graph))
     _write_or_print(scc_sizes_csv(partition), args.out)
     return EXIT_OK
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
-    # before any work: else --out could be written and then --json refused
-    refuse_directories(path for path in (args.out, args.json) if path)
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     cfg = EnumerationConfig(args.max_len, args.max_circuits, args.time_budget)
@@ -234,7 +230,6 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    refuse_directories([args.out] if args.out else [])
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     per_component = _load_components(args.circuits, graph, partition)
@@ -346,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # before any work: else an input could be read, or --out written,
+        # only to find a directory where a file is to go
+        refuse_directories(path for path in (getattr(args, "out", None), getattr(args, "json", None)) if path)
         return args.func(args)
     except (InvoiceError, InfeasibleRequest, ExactSearchRefused) as err:
         print(f"input error: {err}", file=sys.stderr)

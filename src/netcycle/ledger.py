@@ -16,6 +16,11 @@ passes them all goes straight into the graph. `_id_fault` states the
 company-id rule once for both, and a locator is built only for a record
 that fails.
 
+A graph grows through `add_vertex` and `add_obligation`. Settlement
+lowers it through one method, `DebtGraph._set_weight`, which
+`settlement.replay` calls once per edge of a plan, after every step of
+the plan has checked out.
+
 `DebtGraph.write_json` streams `graph.json` one source row at a time, so
 no copy of the whole text is held in memory.
 """
@@ -64,10 +69,6 @@ class InvoiceError(ValueError):
 
 class DensityUndefinedError(ValueError):
     """Density requires at least two vertices."""
-
-
-class StaleCircuitError(RuntimeError):
-    """A circuit references an edge that is missing or exhausted."""
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,6 @@ class DebtGraph:
     def edge_count(self) -> int:
         return sum(len(row) for row in self._adj.values())
 
-    def total_weight(self) -> int:
-        return sum(w for _, w in self.edges())
-
     def index(self) -> GraphIndex:
         """The sorted index of the graph as it is now, built on first use
         and kept until the graph changes. Two builds of one state are
@@ -201,16 +199,15 @@ class DebtGraph:
         g._adj = {u: dict(row) for u, row in self._adj.items()}
         return g
 
-    def _decrease(self, u: CompanyId, v: CompanyId, amount: int) -> None:
+    def _set_weight(self, u: CompanyId, v: CompanyId, weight: int) -> None:
+        """Store the weight of the existing edge (u, v), removing the edge
+        at 0. Settlement's one write: `replay` stores each checked weight
+        through it."""
         self._index = None
-        row = self._adj[u]
-        left = row[v] - amount
-        if left < 0:
-            raise AssertionError("edge weight underflow")
-        if left == 0:
-            del row[v]
+        if weight:
+            self._adj[u][v] = weight
         else:
-            row[v] = left
+            del self._adj[u][v]
 
     # -- serialization --------------------------------------------------
 
@@ -328,37 +325,6 @@ def canonical_rotation(vertices: Iterable[CompanyId]) -> tuple[CompanyId, ...]:
     seq = tuple(vertices)
     pivot = seq.index(min(seq))
     return seq[pivot:] + seq[:pivot]
-
-
-def circuit_value(g: DebtGraph, circuit: tuple[CompanyId, ...]) -> int:
-    """Settleable amount of `circuit`: its minimum edge weight, 0 if any
-    edge is absent. Never mutates the graph."""
-    value = None
-    for u, v in circuit_edges(circuit):
-        w = g.weight(u, v)
-        if w == 0:
-            return 0
-        value = w if value is None else min(value, w)
-    return value or 0
-
-
-def settle(g: DebtGraph, circuit: tuple[CompanyId, ...]) -> int:
-    """Subtract the circuit's minimum edge weight from every edge on it.
-
-    Returns the settled amount per edge. Edges that reach zero are removed.
-    Raises ValueError if the circuit is empty or uses an edge twice, and
-    StaleCircuitError if any edge is missing or already exhausted; either
-    way the graph is left untouched.
-    """
-    edges = list(circuit_edges(circuit))
-    if not edges or len(set(edges)) < len(edges):
-        raise ValueError(f"circuit {list(circuit)} {'uses an edge twice' if edges else 'is empty'}")
-    x = circuit_value(g, circuit)
-    if x == 0:
-        raise StaleCircuitError(f"circuit {','.join(circuit)} is no longer settleable")
-    for u, v in edges:
-        g._decrease(u, v, x)
-    return x
 
 
 def density(g: DebtGraph) -> Fraction:

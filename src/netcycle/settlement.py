@@ -7,8 +7,10 @@ state (the remaining edge weights); the greedy mode takes the largest
 immediate gain each step. Totals count the per-edge settled amount times
 the circuit length.
 
-All paths settle on `_slots`, one table of the circuits' edge weights, so
-the graph is written only by `replay`, once the whole plan checks out.
+All paths settle on `_slots`, one table of the circuits' edge weights.
+Only `replay` writes the graph: once every step of its plan has checked
+out on that table, it stores each edge's final weight through
+`DebtGraph._set_weight`.
 The searches and `plan_for_order` yield only their steps; `_plan` builds
 every plan from them.
 
@@ -27,10 +29,10 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, KeysView, NoReturn
 
 from .circuits import ComponentCircuits, EnumerationConfig, check_parallelism, enumerate_graph, resolve_engine
-from .ledger import Circuit, CompanyId, DebtGraph, circuit_edges, settle
+from .ledger import Circuit, CompanyId, DebtGraph, circuit_edges
 from .scc import SccPartition
 
 EXACT_HARD_CAP = 12  # exact mode's search grows exponentially with the circuit count
@@ -113,10 +115,13 @@ class SettlementPlan:
         }
 
 
-def _slots(g: DebtGraph, circuits: list[Circuit]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """One slot per distinct circuit edge, `w` holding its weight in g (0 if
-    absent), and each circuit as the tuple of its edges' slots. An empty
-    circuit, or one that uses an edge twice, raises ValueError."""
+def _slots(
+    g: DebtGraph, circuits: list[Circuit]
+) -> tuple[list[int], list[tuple[int, ...]], KeysView[tuple[CompanyId, CompanyId]]]:
+    """One slot per distinct circuit edge: `w` holding its weight in g (0 if
+    absent), each circuit as the tuple of its edges' slots, and the edges
+    themselves in slot order. An empty circuit, or one that uses an edge
+    twice, raises ValueError."""
     slot: dict[tuple[CompanyId, CompanyId], int] = {}  # in slot order
     edges: list[tuple[int, ...]] = []
     for position, c in enumerate(circuits):
@@ -124,7 +129,7 @@ def _slots(g: DebtGraph, circuits: list[Circuit]) -> tuple[list[int], list[tuple
         if not ids or len(set(ids)) < len(ids):
             raise _BadCircuit(position, c)
         edges.append(ids)
-    return [g.weight(u, v) for u, v in slot], edges
+    return [g.weight(u, v) for u, v in slot], edges, slot.keys()
 
 
 def _in_order(w: list[int], edges: list[tuple[int, ...]]) -> Iterator[int]:
@@ -280,7 +285,7 @@ def _ordered(g: DebtGraph, order: list[Circuit], cfg: OptimizerConfig) -> _Order
             f"{len(order)} circuits exceeds the exact-mode cap of "
             f"{EXACT_HARD_CAP}; use greedy mode"
         )
-    w, edges = _slots(g, order)
+    w, edges, _ = _slots(g, order)
     search = _exact_order if mode == "exact" else _greedy_order
     return mode, search(w, edges)
 
@@ -304,28 +309,37 @@ def plan_for_order(g: DebtGraph, circuits: Iterable[Circuit]) -> SettlementPlan:
     """Plan obtained by settling `circuits` in exactly the given order on
     their `_slots` table, skipping any that are worth zero at their turn."""
     circuits = list(circuits)
-    return _plan(circuits, "forced", [(i, x) for i, x in enumerate(_in_order(*_slots(g, circuits))) if x])
+    w, edges, _ = _slots(g, circuits)
+    return _plan(circuits, "forced", [(i, x) for i, x in enumerate(_in_order(w, edges)) if x])
 
 
 def replay(g: DebtGraph, plan: SettlementPlan) -> DebtGraph:
-    """Apply a plan to the live graph, verifying every recorded amount.
+    """Apply a plan to the live graph, verifying every field of every step.
 
     A step whose circuit is empty or uses an edge twice, else the first
-    step whose recorded amount is not positive or not its value at its turn
-    on the `_slots` table, raises StalePlanError naming it; g is untouched.
+    step whose per_edge is not a positive int or not its value at its turn
+    on the `_slots` table, or whose amount is not per_edge times the
+    circuit's length, raises StalePlanError naming it; g is untouched.
+    Once every step has checked out, each edge of the plan is given its
+    final weight on that table.
     """
     circuits = [step.circuit for step in plan.steps]
     try:
-        w, edges = _slots(g, circuits)
+        w, edges, pairs = _slots(g, circuits)
     except _BadCircuit as err:
         raise StalePlanError(err.position, str(err)) from None
     for idx, (step, x) in enumerate(zip(plan.steps, _in_order(w, edges))):
-        if step.per_edge <= 0:
-            raise StalePlanError(idx, f"recorded {step.per_edge} per edge, which is not positive")
-        if x != step.per_edge:
-            raise StalePlanError(idx, f"recorded {step.per_edge} per edge, but the circuit is now worth {x}")
-    for c in circuits:
-        settle(g, c)
+        per_edge, amount = step.per_edge, step.amount
+        # bool is an int subclass; True must not pass as 1 per edge
+        if type(per_edge) is not int or per_edge <= 0:
+            raise StalePlanError(idx, f"recorded {per_edge!r} per edge, which is not positive or not an int")
+        if x != per_edge:
+            raise StalePlanError(idx, f"recorded {per_edge} per edge, but the circuit is now worth {x}")
+        k = len(step.circuit)
+        if type(amount) is not int or amount != x * k:
+            raise StalePlanError(idx, f"recorded amount {amount!r}, but {x} per edge over {k} edges is {x * k}")
+    for (u, v), weight in zip(pairs, w):
+        g._set_weight(u, v, weight)
     return g
 
 

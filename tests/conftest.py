@@ -49,6 +49,10 @@ def graph_of(edges) -> DebtGraph:
     return g
 
 
+def total_weight(g: DebtGraph) -> int:
+    return sum(w for _, w in g.edges())
+
+
 def one_row_per_company(g: DebtGraph) -> bool:
     """Whether the companies are exactly the adjacency map's row keys and
     every creditor has a row of its own."""

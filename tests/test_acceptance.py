@@ -15,6 +15,7 @@ from netcycle import (
     EnumerationConfig,
     OptimizerConfig,
     PipelineConfig,
+    SettlementPlan,
     enumerate_graph,
     generate_synthetic,
     merge_circuits,
@@ -22,7 +23,6 @@ from netcycle import (
     plan_for_order,
     replay,
     run_pipeline,
-    settle,
     tarjan,
     write_invoices_csv,
 )
@@ -42,6 +42,7 @@ from conftest import (
     RING4_EDGES,
     graph_of,
     random_graph,
+    total_weight,
 )
 
 def _pass(criterion: int, message: str) -> None:
@@ -50,8 +51,9 @@ def _pass(criterion: int, message: str) -> None:
 
 def test_criterion_1_three_company_golden():
     g = graph_of(INTRO_EDGES)
-    x = settle(g, ("A", "B", "C"))
-    assert x == 2_300_000
+    plan = plan_for_order(g, [("A", "B", "C")])
+    replay(g, plan)
+    assert plan.steps[0].per_edge == 2_300_000
     assert g.weight("A", "B") == 900_000
     assert g.weight("B", "C") == 0
     assert ("B", "C") not in dict(g.edges())
@@ -61,8 +63,9 @@ def test_criterion_1_three_company_golden():
 
 def test_criterion_2_four_company_golden():
     g = graph_of(RING4_EDGES)
-    x = settle(g, ("A", "B", "C", "D"))
-    assert x == 600
+    plan = plan_for_order(g, [("A", "B", "C", "D")])
+    replay(g, plan)
+    assert plan.steps[0].per_edge == 600
     assert ("D", "A") not in dict(g.edges())
     assert all(w > 0 for _, w in g.edges())
     _pass(2, "four-company ring settles at 600 and the D->A edge is removed")
@@ -182,7 +185,7 @@ def test_criterion_8_replay_fidelity(overlap_graph):
     exact = optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
     fresh = overlap_graph.copy()
     replay(fresh, exact)  # raises on any recorded-amount mismatch
-    assert overlap_graph.total_weight() - fresh.total_weight() == exact.total
+    assert total_weight(overlap_graph) - total_weight(fresh) == exact.total
 
     replayed = 0
     for g, circuits in _optimizer_instances(500):
@@ -190,7 +193,7 @@ def test_criterion_8_replay_fidelity(overlap_graph):
             plan = optimize_order(g, circuits, OptimizerConfig(mode=mode))
             fresh = g.copy()
             replay(fresh, plan)
-            assert g.total_weight() - fresh.total_weight() == plan.total
+            assert total_weight(g) - total_weight(fresh) == plan.total
             replayed += 1
     _pass(8, f"replay reproduced every recorded amount across {replayed + 1} plans, 0 mismatches")
 
@@ -204,17 +207,29 @@ def test_criterion_9_conservation_suite():
         if not circuits:
             continue
         rng.shuffle(circuits)
-        start_weight = g.total_weight()
+        start_weight = total_weight(g)
+        prefix = circuits[: rng.randint(1, len(circuits))]
+        # each circuit's value at its turn, its minimum edge weight, on a
+        # plain weight map
+        weights = dict(g.edges())
+        values = []
         netted = 0
-        for c in circuits[: rng.randint(1, len(circuits))]:
-            value = min((g.weight(u, v) for u, v in zip(c, c[1:] + c[:1])), default=0)
+        for c in prefix:
+            edges = list(zip(c, c[1:] + c[:1]))
+            value = min(weights.get(e, 0) for e in edges)
             if value == 0:
                 continue
-            x = settle(g, c)
-            assert x == value
-            netted += x * len(c)
+            for e in edges:
+                weights[e] -= value
+            values.append((c, value))
+            netted += value * len(c)
+        plan = plan_for_order(g, prefix)
+        assert [(s.circuit, s.per_edge) for s in plan.steps] == values
+        assert plan.total == netted
+        for step in plan.steps:
+            replay(g, SettlementPlan([step], step.amount, [], "forced"))
             assert all(w > 0 for _, w in g.edges())
-        assert g.total_weight() == start_weight - netted
+        assert total_weight(g) == start_weight - netted
         sequences += 1
     assert sequences > 150
     _pass(9, f"{sequences} randomized settle sequences: no negative weights, totals conserved")

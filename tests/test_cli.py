@@ -612,13 +612,16 @@ def test_circuits_refuses_a_directory_before_any_work(tmp_path, overlap_csv, cap
         assert not any(paths[directory].iterdir())
 
 
+# gen's flags ask for one company, which it refuses only once it starts
+# generating; an input flag names a missing file.
 @pytest.mark.parametrize("command, inputs", [
     ("ingest", ["--input"]), ("scc", ["--graph"]), ("plan", ["--graph", "--circuits"]),
+    ("gen", ["--companies", "--edges"]),
 ])
 def test_directory_at_out_is_refused_before_the_input_is_read(tmp_path, capsys, command, inputs):
     out = tmp_path / "out"
     out.mkdir()
-    missing = [arg for flag in inputs for arg in (flag, str(tmp_path / "missing"))]
+    missing = [arg for flag in inputs for arg in (flag, "1" if command == "gen" else str(tmp_path / "missing"))]
     assert main([command, *missing, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: [Errno 21] Is a directory: '{out}'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]

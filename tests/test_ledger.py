@@ -18,18 +18,22 @@ from netcycle import (
     IngestResult,
     Invoice,
     InvoiceError,
+    PlanStep,
     RejectedRecord,
-    StaleCircuitError,
-    circuit_value,
+    SettlementPlan,
+    StalePlanError,
     density,
     ingest_csv,
-    settle,
+    plan_for_order,
+    replay,
     write_invoices_csv,
 )
 from netcycle import ledger
 from netcycle.circuits import component_adjacency, enumerate_graph
 from netcycle.scc import tarjan
-from conftest import INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of, one_row_per_company, positions
+from conftest import (
+    INTRO_EDGES, OVERLAP_EDGES, complete_digraph, graph_of, one_row_per_company, positions, total_weight,
+)
 
 
 def inv(i, debtor, creditor, amount):
@@ -438,7 +442,23 @@ class TestDensity:
             density(g)
 
 
+def settle(g: DebtGraph, circuit) -> int:
+    """Settle one circuit on g as the package does, planned and then
+    replayed; the amount settled per edge."""
+    plan = plan_for_order(g, [circuit])
+    replay(g, plan)
+    return plan.steps[0].per_edge
+
+
+def value(g: DebtGraph, circuit) -> int:
+    """What settling the circuit on g would settle per edge, 0 if nothing."""
+    return sum(step.per_edge for step in plan_for_order(g, [circuit]).steps)
+
+
 class TestSettle:
+    """Settling a circuit on the graph, the only way a graph's weights go
+    down: its plan, replayed."""
+
     def test_three_company_settlement(self, intro_graph):
         x = settle(intro_graph, ("A", "B", "C"))
         assert x == 2_300_000
@@ -466,24 +486,25 @@ class TestSettle:
         assert g == rebuilt(g)
 
     def test_stale_circuit_leaves_graph_untouched(self, intro_graph):
-        settle(intro_graph, ("A", "B", "C"))
+        plan = plan_for_order(intro_graph, [("A", "B", "C")])
+        replay(intro_graph, plan)
         before = dict(intro_graph.edges())
-        with pytest.raises(StaleCircuitError):
-            settle(intro_graph, ("A", "B", "C"))
+        with pytest.raises(StalePlanError, match="now worth 0"):
+            replay(intro_graph, plan)
         assert dict(intro_graph.edges()) == before
 
     @pytest.mark.parametrize("circuit", [("A", "B", "A", "B"), ()], ids=["edge-twice", "empty"])
     def test_bad_circuit_leaves_graph_untouched(self, circuit):
         g = graph_of([("A", "B", 5), ("B", "A", 8)])
         before = dict(g.edges())
-        with pytest.raises(ValueError):
-            settle(g, circuit)
+        with pytest.raises(StalePlanError):
+            replay(g, SettlementPlan([PlanStep(circuit, 5, 5 * len(circuit))], 0, [], "forced"))
         assert dict(g.edges()) == before
 
     def test_conservation(self, intro_graph):
-        total = intro_graph.total_weight()
+        total = total_weight(intro_graph)
         x = settle(intro_graph, ("A", "B", "C"))
-        assert intro_graph.total_weight() == total - 3 * x
+        assert total_weight(intro_graph) == total - 3 * x
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 100), min_size=3, max_size=6))
@@ -495,23 +516,25 @@ class TestSettle:
         circuit = tuple(names)
         x = settle(g, circuit)
         assert x == min(weights)
-        assert all(w >= 0 for _, w in g.edges())
+        assert all(w > 0 for _, w in g.edges())
 
 
 class TestCircuitValue:
+    """A circuit's value, its minimum edge weight, as its plan records it."""
+
     def test_ring_of_four(self, ring4_graph):
-        assert circuit_value(ring4_graph, ("A", "B", "C", "D")) == 600
+        assert value(ring4_graph, ("A", "B", "C", "D")) == 600
 
     def test_missing_edge_is_zero(self, intro_graph):
-        assert circuit_value(intro_graph, ("A", "C", "B")) == 0
+        assert value(intro_graph, ("A", "C", "B")) == 0
 
     def test_zero_after_settle(self, intro_graph):
         settle(intro_graph, ("A", "B", "C"))
-        assert circuit_value(intro_graph, ("A", "B", "C")) == 0
+        assert value(intro_graph, ("A", "B", "C")) == 0
 
     def test_non_mutating(self, ring4_graph):
         before = dict(ring4_graph.edges())
-        circuit_value(ring4_graph, ("A", "B", "C", "D"))
+        value(ring4_graph, ("A", "B", "C", "D"))
         assert dict(ring4_graph.edges()) == before
 
 
@@ -745,7 +768,7 @@ class TestIndex:
     def test_settle_add_and_replace_are_seen(self, overlap_graph):
         g = overlap_graph
         self.views(g)
-        settle(g, ("A", "B", "C", "D"))  # removes four edges
+        settle(g, ("A", "B", "C", "D"))  # a replay that removes four edges
         assert self.views(g) == self.views(rebuilt(g))
         g.add_obligation("E", "Z", 9)  # a new vertex and edge
         assert self.views(g) == self.views(rebuilt(g))

@@ -13,25 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcycle import (
+    DebtGraph,
     EnumerationConfig,
     ExactSearchRefused,
     OptimizerConfig,
     PlanStep,
     SettlementPlan,
     StalePlanError,
-    circuit_value,
     enumerate_graph,
     merge_circuits,
     optimize_order,
     plan_for_order,
     plan_per_scc,
     replay,
-    settle,
     tarjan,
 )
 from netcycle import settlement
 from netcycle.oracle import best_order_by_permutation
-from netcycle.ledger import Circuit
+from netcycle.ledger import Circuit, circuit_edges
 from netcycle.settlement import EXACT_HARD_CAP, _slots
 
 from conftest import (
@@ -44,20 +43,31 @@ from conftest import (
     graph_of,
     one_row_per_company,
     random_graph,
+    total_weight,
 )
 
 
-# References: the settlement loops written against DebtGraph itself, which
-# the slot-table paths must match step for step.
+# References: the settlement loops written over a plain {(u, v): weight}
+# map, as netcycle.oracle settles, apart from the slot table and from
+# DebtGraph's writes. The slot-table paths must match them step for step.
+
+def value(weights, c):
+    return min(weights.get(e, 0) for e in circuit_edges(c))
+
+
+def settle(weights, c, x):
+    for e in circuit_edges(c):
+        weights[e] -= x
+
 
 def reference_greedy(g, circuits):
-    scratch = g.copy()
-    heap = [(-circuit_value(scratch, c) * len(c), c) for c in sorted(circuits)]
+    weights = dict(g.edges())
+    heap = [(-value(weights, c) * len(c), c) for c in sorted(circuits)]
     heapq.heapify(heap)
     steps, skipped, total = [], [], 0
     while heap:
         neg_amount, c = heapq.heappop(heap)
-        x = circuit_value(scratch, c)
+        x = value(weights, c)
         if x == 0:
             skipped.append(c)
             continue
@@ -65,7 +75,7 @@ def reference_greedy(g, circuits):
         if amount != -neg_amount:
             heapq.heappush(heap, (-amount, c))
             continue
-        settle(scratch, c)
+        settle(weights, c, x)
         steps.append(PlanStep(c, x, amount))
         total += amount
     return steps, total, sorted(skipped)
@@ -140,14 +150,14 @@ def reference_exact_order(
 
 
 def reference_plan_for_order(g, circuits):
-    scratch = g.copy()
+    weights = dict(g.edges())
     steps, skipped, total = [], [], 0
     for c in circuits:
-        x = circuit_value(scratch, c)
+        x = value(weights, c)
         if x == 0:
             skipped.append(c)
             continue
-        settle(scratch, c)
+        settle(weights, c, x)
         steps.append(PlanStep(c, x, x * len(c)))
         total += x * len(c)
     return steps, total, skipped
@@ -167,13 +177,15 @@ def reference_plan_per_scc(g, per_component, cfg):
 
 
 def reference_replay(g, plan):
-    """The replayed copy of g, or the index of the first stale step."""
-    scratch = g.copy()
+    """The edges of g once the plan is replayed, or the index of the first
+    step that is not recorded as it settles."""
+    weights = dict(g.edges())
     for idx, step in enumerate(plan.steps):
-        if circuit_value(scratch, step.circuit) != step.per_edge:
+        x = value(weights, step.circuit)
+        if (step.per_edge, step.amount) != (x, x * len(step.circuit)) or x == 0:
             return idx
-        settle(scratch, step.circuit)
-    return scratch
+        settle(weights, step.circuit, x)
+    return {e: w for e, w in weights.items() if w}
 
 
 # A circuit through A->B and B->A twice: settling it would take its amount
@@ -286,7 +298,7 @@ class TestExactOptimizer:
             circuits = data.draw(st.permutations(circuits))[: data.draw(st.integers(1, EXACT_HARD_CAP))]
         plan = optimize_order(g, circuits, OptimizerConfig(mode="exact"))
         order = sorted(circuits)
-        assert (plan.steps, plan.total, plan.skipped) == reference_exact_order(*_slots(g, order), order)
+        assert (plan.steps, plan.total, plan.skipped) == reference_exact_order(*_slots(g, order)[:2], order)
 
 
 class TestGreedyOptimizer:
@@ -345,7 +357,7 @@ class TestReplay:
         fresh = overlap_graph.copy()
         replay(fresh, plan)
         assert fresh.weight("A", "B") == 7_000 - 200 - 6_700
-        assert overlap_graph.total_weight() - fresh.total_weight() == plan.total
+        assert total_weight(overlap_graph) - total_weight(fresh) == plan.total
 
     def test_empty_plan_is_identity(self, intro_graph):
         plan = optimize_order(intro_graph, [], OptimizerConfig())
@@ -366,9 +378,7 @@ class TestReplay:
         plan = optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
         overlap_graph.add_obligation("X", "B", 1)  # unrelated edge survives rollback
         tampered = overlap_graph.copy()
-        from netcycle import settle
-
-        settle(tampered, BCGH)  # consume part of what step 2 expects
+        replay(tampered, plan_for_order(tampered, [BCGH]))  # consume part of what step 2 expects
         before = dict(tampered.edges())
         with pytest.raises(StalePlanError) as err:
             replay(tampered, plan)
@@ -386,6 +396,46 @@ class TestReplay:
         assert err.value.step_index == 1
         assert dict(g.edges()) == before
 
+    @pytest.mark.parametrize("step, reason", [
+        (PlanStep(("A", "B", "C"), 7, 999), "recorded amount 999, but 7 per edge over 3 edges is 21"),
+        (PlanStep(("A", "B", "C"), 7, 21.0), "recorded amount 21.0, but"),
+        (PlanStep(("A", "B", "C"), 7.0, 21), "recorded 7.0 per edge, which is not positive or not an int"),
+        # bool is an int subclass, and C->D is worth 1
+        (PlanStep(("C", "D"), True, 2), "recorded True per edge"),
+    ], ids=["amount-off", "float-amount", "float-per-edge", "true-per-edge"])
+    def test_every_recorded_field_is_checked(self, step, reason):
+        g = graph_of([("A", "B", 7), ("B", "C", 9), ("C", "A", 8), ("C", "D", 1), ("D", "C", 1)])
+        before = dict(g.edges())
+        plan = SettlementPlan([step], 999, [], "forced")
+        with pytest.raises(StalePlanError, match=reason) as err:
+            replay(g, plan)
+        assert err.value.step_index == 0
+        assert dict(g.edges()) == before
+
+    def test_writes_each_edge_once_after_every_step(self, overlap_graph, monkeypatch):
+        plan = optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
+        writes = []
+        set_weight = DebtGraph._set_weight
+
+        def counted(g, u, v, weight):
+            writes.append((u, v))
+            set_weight(g, u, v, weight)
+
+        monkeypatch.setattr(DebtGraph, "_set_weight", counted)
+        fresh = overlap_graph.copy()
+        replay(fresh, plan)
+        # the three circuits run through 11 distinct edges
+        assert sorted(writes) == sorted({e for c in OVERLAP_CIRCUITS for e in circuit_edges(c)})
+        assert len(writes) == 11
+        # a fourth step that no longer settles: the three before it check
+        # out, and still nothing is written
+        writes.clear()
+        fresh = overlap_graph.copy()
+        with pytest.raises(StalePlanError) as err:
+            replay(fresh, SettlementPlan(plan.steps + plan.steps[:1], plan.total, [], "forced"))
+        assert err.value.step_index == 3
+        assert writes == [] and fresh == overlap_graph
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -401,7 +451,7 @@ class TestReplay:
         plan = optimize_order(g, circuits, OptimizerConfig(mode=mode, exact_threshold=5))
         fresh = g.copy()
         replay(fresh, plan)
-        assert g.total_weight() - fresh.total_weight() == plan.total
+        assert total_weight(g) - total_weight(fresh) == plan.total
         assert fresh.vertices == g.vertices and one_row_per_company(fresh)
 
 
@@ -445,13 +495,15 @@ def test_slot_paths_match_the_graph_references(edges, rnd, change, delta):
     plan = SettlementPlan(steps, sum(s.amount for s in steps), [], "forced")
     expected = reference_replay(tampered, plan)
     state = dict(tampered.edges())
+    companies = set(tampered.vertices)
     if isinstance(expected, int):
         with pytest.raises(StalePlanError) as err:
             replay(tampered, plan)
         assert err.value.step_index == expected
         assert dict(tampered.edges()) == state
     else:
-        assert replay(tampered, plan) == expected
+        assert dict(replay(tampered, plan).edges()) == expected
+    assert tampered.vertices == companies and one_row_per_company(tampered)
 
 
 class TestPlanPerScc:
@@ -481,7 +533,7 @@ class TestPlanPerScc:
         fresh = g.copy()
         for plan in plans:
             replay(fresh, plan)
-        assert g.total_weight() - fresh.total_weight() == sum(p.total for p in plans)
+        assert total_weight(g) - total_weight(fresh) == sum(p.total for p in plans)
 
     def test_non_conflicting_plans_commute(self):
         g = graph_of([
