@@ -180,11 +180,6 @@ def _output(out: str | None) -> Iterator[IO[str]]:
         yield fh
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    with _output(out) as fh:
-        fh.write(text)
-
-
 # -- commands -------------------------------------------------------------
 
 
@@ -206,7 +201,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_scc(args: argparse.Namespace) -> int:
     partition = tarjan(_load_graph(args.graph))
-    _write_or_print(scc_sizes_csv(partition), args.out)
+    with _output(args.out) as fh:
+        fh.write(scc_sizes_csv(partition))
     return EXIT_OK
 
 
@@ -222,7 +218,8 @@ def cmd_circuits(args: argparse.Namespace) -> int:
             # circuits.txt carries no truncation flag, so a strict run
             # writes nothing that plan could take for a complete search
             return EXIT_TRUNCATED_STRICT
-    _write_or_print(circuits_lines(merge_circuits(per_component)), args.out)
+    with _output(args.out) as fh:
+        fh.write(circuits_lines(merge_circuits(per_component)))
     if args.json:
         with _output(args.json) as fh:
             write_circuits_json(fh, per_component, cfg)

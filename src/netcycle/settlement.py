@@ -44,10 +44,12 @@ _Ordered = tuple[str, list[tuple[int, int]]]
 
 
 class StalePlanError(RuntimeError):
-    """A recorded step cannot be applied as recorded. `step_index` names it."""
+    """A recorded plan cannot be applied as recorded. `step_index` names the
+    step at fault, or is None when every step checks out but the total
+    does not."""
 
-    def __init__(self, step_index: int, reason: str):
-        super().__init__(f"step {step_index}: {reason}")
+    def __init__(self, step_index: int | None, reason: str):
+        super().__init__(reason if step_index is None else f"step {step_index}: {reason}")
         self.step_index = step_index
 
 
@@ -162,10 +164,10 @@ def _exact_order(w: list[int], edges: list[tuple[int, ...]]) -> list[tuple[int, 
     fixed prefix, so the best suffix from every state yields the best order
     overall.
 
-    Each transition builds the child state from its parent's tuple. The
-    sorted amounts are merged, by bisection, only for a candidate whose
-    total reaches the incumbent's and for the winner; steps are a linked
-    chain `(circuit index, per_edge, rest)`, unwound once at the end.
+    Each state has one record, (total, sorted step amounts, steps), built
+    from its best child's record; a candidate's amounts are merged only when
+    its total reaches the incumbent's. Each transition builds the child
+    state from its parent's tuple.
 
     Returns the steps as (circuit index, per_edge). A circuit's length is
     the number of its slots.
@@ -174,14 +176,11 @@ def _exact_order(w: list[int], edges: list[tuple[int, ...]]) -> list[tuple[int, 
     for i, ids in enumerate(edges):
         for e in ids:
             users[e] |= 1 << i
-    k = [len(ids) for ids in edges]
-    # state -> (total, sorted amounts, (circuit index, per_edge, rest) or None)
-    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple | None]] = {}
+    # state -> (total, sorted step amounts, ((circuit index, per_edge), ...))
+    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
 
-    def best(state: tuple[int, ...], live: list[int]) -> tuple[int, tuple[int, ...], tuple | None]:
-        # The incumbent: settle top_i for top_x per edge, then top_suffix.
-        # top is its total; top_amounts its sorted amounts, None until needed.
-        top = 0
+    def best(state: tuple[int, ...], live: list[int]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+        found = (0, (), ())
         weight = state.__getitem__
         for i in live:
             ids = edges[i]
@@ -196,35 +195,23 @@ def _exact_order(w: list[int], edges: list[tuple[int, ...]]) -> list[tuple[int, 
             suffix = memo.get(child)
             if suffix is None:
                 suffix = memo[child] = best(child, [j for j in live if not dead >> j & 1])
-            amount = x * k[i]
+            amount = x * len(ids)
             total = suffix[0] + amount
-            if total > top:
-                top, top_suffix, top_amount, top_i, top_x = total, suffix, amount, i, x
-                top_amounts = None
-            elif total == top:
-                if top_amounts is None:
-                    top_amounts = _with(top_suffix[1], top_amount)
+            if total > found[0]:
+                found = (total, _with(suffix[1], amount), ((i, x),) + suffix[2])
+            elif total == found[0]:
                 amounts = _with(suffix[1], amount)
-                if amounts > top_amounts:
-                    top_suffix, top_amount, top_i, top_x, top_amounts = suffix, amount, i, x, amounts
-        if not top:
-            return 0, (), None
-        if top_amounts is None:
-            top_amounts = _with(top_suffix[1], top_amount)
-        return top, top_amounts, (top_i, top_x, top_suffix[2])
+                if amounts > found[1]:
+                    found = (total, amounts, ((i, x),) + suffix[2])
+        return found
 
     try:
-        _, _, chain = best(tuple(w), [i for i, ids in enumerate(edges) if all([w[e] for e in ids])])
+        return list(best(tuple(w), [i for i, ids in enumerate(edges) if all([w[e] for e in ids])])[2])
     finally:
         # best's closure holds best itself; unbinding it breaks that
         # reference cycle, so the memo is freed at once instead of waiting
         # for the cyclic collector.
         del best
-    steps = []
-    while chain is not None:
-        i, x, chain = chain
-        steps.append((i, x))
-    return steps
 
 
 def _with(amounts: tuple[int, ...], amount: int) -> tuple[int, ...]:
@@ -314,16 +301,22 @@ def plan_for_order(g: DebtGraph, circuits: Iterable[Circuit]) -> SettlementPlan:
 
 
 def replay(g: DebtGraph, plan: SettlementPlan) -> DebtGraph:
-    """Apply a plan to the live graph, verifying every field of every step.
+    """Apply a plan to the live graph, verifying every field of every step
+    and the plan's total.
 
-    A step whose circuit is empty or uses an edge twice, else the first
-    step whose per_edge is not a positive int or not its value at its turn
-    on the `_slots` table, or whose amount is not per_edge times the
-    circuit's length, raises StalePlanError naming it; g is untouched.
-    Once every step has checked out, each edge of the plan is given its
-    final weight on that table.
+    A step whose circuit is not a tuple of strings, else one whose circuit
+    is empty or uses an edge twice, else the first step whose per_edge is
+    not a positive int or not its value at its turn on the `_slots` table,
+    or whose amount is not per_edge times the circuit's length, raises
+    StalePlanError naming it. Once every step has checked out, a total that
+    is not an int equal to the sum of the step amounts raises it too. Either
+    way g is untouched. Otherwise each edge of the plan is given its final
+    weight on that table.
     """
     circuits = [step.circuit for step in plan.steps]
+    for idx, c in enumerate(circuits):
+        if type(c) is not tuple or not all([type(v) is str for v in c]):
+            raise StalePlanError(idx, f"circuit {c!r} is not a tuple of company ids")
     try:
         w, edges, pairs = _slots(g, circuits)
     except _BadCircuit as err:
@@ -338,6 +331,9 @@ def replay(g: DebtGraph, plan: SettlementPlan) -> DebtGraph:
         k = len(step.circuit)
         if type(amount) is not int or amount != x * k:
             raise StalePlanError(idx, f"recorded amount {amount!r}, but {x} per edge over {k} edges is {x * k}")
+    total = sum([step.amount for step in plan.steps])
+    if type(plan.total) is not int or plan.total != total:
+        raise StalePlanError(None, f"recorded total {plan.total!r}, but the steps settle {total}")
     for (u, v), weight in zip(pairs, w):
         g._set_weight(u, v, weight)
     return g

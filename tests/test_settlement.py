@@ -412,6 +412,28 @@ class TestReplay:
         assert err.value.step_index == 0
         assert dict(g.edges()) == before
 
+    @pytest.mark.parametrize("total", [999, 0, 2.0, True], ids=["too-high", "zero", "float", "bool"])
+    def test_total_is_checked_after_every_step(self, total):
+        g = graph_of([("A", "B", 1), ("B", "A", 1)])
+        before = dict(g.edges())
+        with pytest.raises(StalePlanError, match=f"recorded total {total!r}, but the steps settle 2") as err:
+            replay(g, SettlementPlan([PlanStep(("A", "B"), 1, 2)], total, [], "forced"))
+        assert err.value.step_index is None
+        assert dict(g.edges()) == before
+        replay(g, SettlementPlan([PlanStep(("A", "B"), 1, 2)], 2, [], "forced"))
+        assert dict(g.edges()) == {}
+
+    @pytest.mark.parametrize("circuit", ["AB", (["A"], ["B"]), ["A", "B"], ("A", 1)],
+                             ids=["string", "lists", "list", "int-id"])
+    def test_circuit_must_be_a_tuple_of_strings(self, circuit):
+        g = graph_of([("A", "B", 5), ("B", "A", 5)])
+        before = dict(g.edges())
+        plan = SettlementPlan([PlanStep(("A", "B"), 2, 4), PlanStep(circuit, 3, 6)], 10, [], "forced")
+        with pytest.raises(StalePlanError, match="is not a tuple of company ids") as err:
+            replay(g, plan)
+        assert err.value.step_index == 1
+        assert dict(g.edges()) == before
+
     def test_writes_each_edge_once_after_every_step(self, overlap_graph, monkeypatch):
         plan = optimize_order(overlap_graph, OVERLAP_CIRCUITS, OptimizerConfig(mode="exact"))
         writes = []
