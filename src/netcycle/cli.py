@@ -1,4 +1,7 @@
-"""Command line front end. Every setting is a flag of its subcommand."""
+"""Command line front end. Every setting is a flag of its subcommand.
+A flag's range is the library's own check, run at parse time, so a value
+out of range is a usage error (exit 2) under the library's message, and
+strict mode's truncation refusal is pipeline.check_truncation (exit 3)."""
 
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .circuits import (
     ComponentCircuits,
     EnumerationConfig,
     EnumerationResult,
+    check_parallelism,
     enumerate_graph,
     merge_circuits,
 )
@@ -25,6 +29,7 @@ from .ledger import DebtGraph, InvoiceError, canonical_rotation, circuit_edges, 
 from .pipeline import (
     PipelineConfig,
     TruncatedInStrictMode,
+    check_truncation,
     circuits_lines,
     dump_json,
     refuse_directories,
@@ -34,7 +39,7 @@ from .pipeline import (
     write_plans_json,
 )
 from .scc import SccPartition, nontrivial_components, tarjan
-from .settlement import EXACT_HARD_CAP, ExactSearchRefused, OptimizerConfig, plan_per_scc
+from .settlement import EXACT_HARD_CAP, MODES, ExactSearchRefused, OptimizerConfig, plan_per_scc
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -42,16 +47,16 @@ EXIT_INPUT = 2
 EXIT_TRUNCATED_STRICT = 3
 
 
-def _at_least(cast, low, *, strict=False, high=None):
-    """An argparse type: cast, then reject values below low (or equal to
-    it when strict) or above high, so an out-of-range flag is a usage
-    error (exit 2)."""
+def _checked(cast, check):
+    """An argparse type: cast, then run the library's own `check`, whose
+    ValueError becomes a usage error (exit 2) under the flag's name."""
 
     def convert(raw):
         value = cast(raw)
-        if not (value > low if strict else value >= low) or (high is not None and value > high):  # NaN fails
-            bound = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {raw!r}")
+        try:
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
         return value
 
     convert.__name__ = cast.__name__  # argparse names it in "invalid int value: 'x'"
@@ -59,17 +64,17 @@ def _at_least(cast, low, *, strict=False, high=None):
 
 
 def _add_enum_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-len", type=_at_least(int, 2), default=8, help="circuit length cap (default 8)")
-    p.add_argument("--max-circuits", type=_at_least(int, 1), default=None,
+    p.add_argument("--max-len", type=_checked(int, lambda v: EnumerationConfig(max_len=v)), default=8,
+                   help="circuit length cap (default 8)")
+    p.add_argument("--max-circuits", type=_checked(int, lambda v: EnumerationConfig(max_circuits=v)),
                    help="stop after this many circuits per component")
-    p.add_argument("--time-budget", type=_at_least(float, 0, strict=True), default=None,
+    p.add_argument("--time-budget", type=_checked(float, lambda v: EnumerationConfig(per_scc_time_budget=v)),
                    help="wall-clock seconds allowed per component")
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto",
-                   help="auto, exact or greedy (default auto)")
-    p.add_argument("--exact-threshold", type=_at_least(int, 1, high=EXACT_HARD_CAP), default=10,
+    p.add_argument("--mode", choices=MODES, default="auto", help="settlement ordering (default auto)")
+    p.add_argument("--exact-threshold", type=_checked(int, lambda v: OptimizerConfig(exact_threshold=v)), default=10,
                    help=f"auto mode uses exact search up to this many circuits (at most {EXACT_HARD_CAP})")
 
 
@@ -211,13 +216,11 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     partition = tarjan(graph)
     cfg = EnumerationConfig(args.max_len, args.max_circuits, args.time_budget)
     per_component = enumerate_graph(graph, partition, cfg)
-    truncated = [i.scc_index for i in per_component if i.result.truncated]
+    # circuits.txt carries no truncation flag, so a strict run writes
+    # nothing that plan could take for a complete search
+    truncated = check_truncation(per_component, not args.lenient)
     if truncated:
         print(f"truncated components: {truncated}", file=sys.stderr)
-        if not args.lenient:
-            # circuits.txt carries no truncation flag, so a strict run
-            # writes nothing that plan could take for a complete search
-            return EXIT_TRUNCATED_STRICT
     with _output(args.out) as fh:
         fh.write(circuits_lines(merge_circuits(per_component)))
     if args.json:
@@ -230,15 +233,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     partition = tarjan(graph)
     per_component = _load_components(args.circuits, graph, partition)
-    truncated = any(i.result.truncated for i in per_component)
-    if truncated and not args.lenient:
-        print("refusing to plan from truncated circuits in strict mode", file=sys.stderr)
-        return EXIT_TRUNCATED_STRICT
-    plans = plan_per_scc(
-        graph, partition, None,
-        OptimizerConfig(mode=args.mode, exact_threshold=args.exact_threshold),
-        per_component=per_component,
-    )
+    check_truncation(per_component, not args.lenient)
+    cfg = OptimizerConfig(args.mode, args.exact_threshold)
+    plans = plan_per_scc(graph, partition, None, cfg, per_component=per_component)
     with _output(args.out) as fh:
         write_plans_json(fh, plans)
     print(f"grand total netted: {sum(p.total for p in plans)}", file=sys.stderr)
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="invoice CSV")
     p.add_argument("--out-dir", required=True, help="artifact directory")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--parallelism", type=int, choices=(1,), default=1,
+    p.add_argument("--parallelism", type=_checked(int, check_parallelism), default=1,
                    help="selects nothing; 1 is the only value")
     _add_enum_flags(p)
     _add_plan_flags(p)
@@ -342,15 +339,13 @@ def main(argv: list[str] | None = None) -> int:
         # only to find a directory where a file is to go
         refuse_directories(path for path in (getattr(args, "out", None), getattr(args, "json", None)) if path)
         return args.func(args)
-    except (InvoiceError, InfeasibleRequest, ExactSearchRefused) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except TruncatedInStrictMode as err:
-        print(f"truncated: {err}", file=sys.stderr)
+        print(f"strict mode: {err}", file=sys.stderr)
         return EXIT_TRUNCATED_STRICT
-    except BrokenPipeError:  # an OSError too: a closed stdout is not a failure
+    except BrokenPipeError:  # before OSError, its base: a closed stdout is not a failure
         return EXIT_OK
-    except OSError as err:  # a missing input, a directory given as a file, ...
+    # OSError: a missing input, a directory given as a file, ...
+    except (InvoiceError, InfeasibleRequest, ExactSearchRefused, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

@@ -98,7 +98,17 @@ class RunReport:
 
 
 class TruncatedInStrictMode(RuntimeError):
-    """Enumeration was cut short while strict mode forbids partial plans."""
+    """Enumeration was cut short while strict mode forbids partial results."""
+
+
+def check_truncation(per_component: list[ComponentCircuits], strict: bool) -> list[int]:
+    """The scc_index of every truncated component. Strict, a truncated
+    component raises TruncatedInStrictMode naming them all, so that `run`,
+    `circuits` and `plan` write nothing from a search cut short."""
+    truncated = [item.scc_index for item in per_component if item.result.truncated]
+    if truncated and strict:
+        raise TruncatedInStrictMode(f"truncated components: {truncated}; re-run lenient or raise the budgets")
+    return truncated
 
 
 def scc_sizes_csv(partition: SccPartition) -> str:
@@ -314,23 +324,24 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     writing every artifact under cfg.out_dir.
 
     Strict mode propagates the first bad record as an error and refuses to
-    write plans when enumeration was truncated (TruncatedInStrictMode).
+    write plans when enumeration was truncated (check_truncation).
     The artifacts are written into a temporary sibling of cfg.out_dir and
     moved into it only once the whole run has succeeded, so a refused or
     failed run adds no file to cfg.out_dir. A directory at an artifact's
     name under cfg.out_dir, which no file can replace, is refused with
     IsADirectoryError before any work.
     """
-    engine = resolve_engine(cfg.engine)
+    # a bad engine, parallelism, cap, budget, mode or threshold fails
+    # before anything is written; engine and parallelism select nothing
+    resolve_engine(cfg.engine)
     check_parallelism(cfg.parallelism)
-    # a bad cap, budget, mode or threshold fails before anything is written
     enum_cfg, opt_cfg = cfg.enumeration(), cfg.optimizer()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a file in the way fails before any work
     refuse_directories(out / name for name in ARTIFACTS)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
-        report = _run_into(stage, cfg, engine, enum_cfg, opt_cfg)
+        report = _run_into(stage, cfg, enum_cfg, opt_cfg)
         for name in ARTIFACTS:
             os.replace(stage / name, out / name)
     finally:
@@ -338,9 +349,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     return report
 
 
-def _run_into(
-    out: Path, cfg: PipelineConfig, engine: str, enum_cfg: EnumerationConfig, opt_cfg: OptimizerConfig
-) -> RunReport:
+def _run_into(out: Path, cfg: PipelineConfig, enum_cfg: EnumerationConfig, opt_cfg: OptimizerConfig) -> RunReport:
     """run_pipeline's phases, each writing its artifacts into `out`."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -361,24 +370,17 @@ def _run_into(
     timings["scc"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    per_component = enumerate_graph(graph, partition, enum_cfg, engine, cfg.parallelism)
+    per_component = enumerate_graph(graph, partition, enum_cfg)
     merged = merge_circuits(per_component)
     (out / "circuits.txt").write_text(circuits_lines(merged), encoding="utf-8")
     with open(out / "circuits.json", "w", encoding="utf-8") as fh:
         write_circuits_json(fh, per_component, enum_cfg)
     timings["circuits"] = time.perf_counter() - t3
 
-    truncated = any(item.result.truncated for item in per_component)
-    if truncated and cfg.strict:
-        raise TruncatedInStrictMode(
-            "circuit enumeration was truncated; re-run lenient or raise the budgets"
-        )
+    check_truncation(per_component, cfg.strict)
 
     t4 = time.perf_counter()
-    plans = plan_per_scc(
-        graph, partition, enum_cfg, opt_cfg, engine,
-        cfg.parallelism, per_component=per_component,
-    )
+    plans = plan_per_scc(graph, partition, enum_cfg, opt_cfg, per_component=per_component)
     with open(out / "plans.json", "w", encoding="utf-8") as fh:
         write_plans_json(fh, plans)
     timings["plan"] = time.perf_counter() - t4

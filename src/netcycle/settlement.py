@@ -36,6 +36,7 @@ from .ledger import Circuit, CompanyId, DebtGraph, circuit_edges
 from .scc import SccPartition
 
 EXACT_HARD_CAP = 12  # exact mode's search grows exponentially with the circuit count
+MODES = ("auto", "exact", "greedy")  # OptimizerConfig.mode's values; the CLI's --mode offers these
 
 # A plan by index into its sorted circuits: mode and steps as
 # (index, per_edge). Plans cross from the forked helper in this form;
@@ -77,7 +78,7 @@ class OptimizerConfig:
     exact_threshold: int = 10
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "greedy", "auto"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if type(self.exact_threshold) is not int or not 1 <= self.exact_threshold <= EXACT_HARD_CAP:
             raise ValueError(
@@ -367,7 +368,7 @@ def plan_per_scc(
     check_parallelism(parallelism)
     opt_cfg = opt_cfg or OptimizerConfig()
     if per_component is None:
-        per_component = enumerate_graph(g, partition, enum_cfg, engine, parallelism)
+        per_component = enumerate_graph(g, partition, enum_cfg)
     items = sorted(per_component, key=lambda item: item.scc_index)
     plans = _plan_in_halves(g, items, opt_cfg) if _can_fork(len(items)) else [None] * len(items)
     for at, item in enumerate(items):

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 import netcycle
 from netcycle import generate_synthetic, ingest_csv, write_invoices_csv
+from netcycle.circuits import EnumerationConfig, check_parallelism
 from netcycle.cli import main
 from netcycle.ledger import MAX_AMOUNT_DIGITS
 from netcycle.pipeline import ARTIFACTS
-from netcycle.settlement import EXACT_HARD_CAP
+from netcycle.settlement import EXACT_HARD_CAP, OptimizerConfig
 
 from test_pipeline import INTRO_CSV, OVERLAP_CSV, strip_timings
 
@@ -130,6 +131,13 @@ def test_chained_subcommands_reproduce_run(invoices, max_len, mode):
                 assert plans.read_bytes() == (d / "run" / "plans.json").read_bytes(), source
 
 
+def test_ingest_of_an_empty_file_is_an_empty_graph(tmp_path):
+    empty, graph = tmp_path / "empty.csv", tmp_path / "graph.json"
+    empty.write_bytes(b"")
+    assert main(["ingest", "--input", str(empty), "--out", str(graph)]) == 0
+    assert json.loads(graph.read_text(encoding="utf-8")) == {"vertices": [], "edges": []}
+
+
 def test_ingest_to_stdout_matches_out_file(tmp_path, overlap_csv, capsys):
     assert main(["ingest", "--input", str(overlap_csv), "--out", str(tmp_path / "graph.json")]) == 0
     capsys.readouterr()
@@ -175,8 +183,31 @@ def test_gen_then_run(tmp_path, capsys):
     assert report["edge_count"] == 200
 
 
-def test_gen_infeasible_is_input_error(tmp_path):
+def test_gen_infeasible_is_input_error(tmp_path, capsys):
     assert main(["gen", "--companies", "3", "--edges", "99", "--out", str(tmp_path / "x.csv")]) == 2
+    capsys.readouterr()
+    assert main(["gen", "--companies", "4", "--edges", "4", "--min-amount", "10", "--max-amount", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "input error: need 0 < min_amount <= max_amount\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_gen_to_stdout_matches_out_file(tmp_path, capsys):
+    flags = ["gen", "--companies", "7", "--edges", "12", "--seed", "3"]
+    assert main([*flags, "--out", str(tmp_path / "gen.csv")]) == 0
+    capsys.readouterr()
+    assert main(flags) == 0
+    assert capsys.readouterr().out == (tmp_path / "gen.csv").read_text(encoding="utf-8")
+
+
+def test_closed_stdout_is_not_a_failure(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gen", "--companies", "2", "--edges", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gen_amount_beyond_the_float_range_is_input_error(tmp_path, capsys):
@@ -273,6 +304,7 @@ BAD_GRAPHS = {
     "repeated_vertex": _graph_text(["A", "B", "A"], [("A", "B", 5), ("B", "A", 5)]),
     "not_json": "vertices: A, B\n",
     "not_an_object": "[]",
+    "vertices_not_a_list": json.dumps({"vertices": "AB", "edges": []}),
     "missing_edges": json.dumps({"vertices": ["A", "B"]}),
     "edge_missing_amount": json.dumps({"vertices": ["A", "B"], "edges": [{"debtor": "A", "creditor": "B"}]}),
     "edge_not_an_object": json.dumps({"vertices": ["A", "B"], "edges": [["A", "B", 5]]}),
@@ -465,6 +497,22 @@ def test_strict_circuits_truncation_writes_nothing(tmp_path, overlap_csv, capsys
     assert json.loads(structured.read_text(encoding="utf-8"))["components"][0]["truncated"] is True
 
 
+def test_strict_plan_from_truncated_circuits_writes_nothing(tmp_path, overlap_csv, capsys):
+    graph, structured, plans = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "plans.json"
+    assert main(["ingest", "--input", str(overlap_csv), "--out", str(graph)]) == 0
+    assert main(["circuits", "--graph", str(graph), "--max-circuits", "1", "--lenient",
+                 "--out", str(tmp_path / "c.txt"), "--json", str(structured)]) == 0
+    capsys.readouterr()
+    flags = ["plan", "--graph", str(graph), "--circuits", str(structured), "--out", str(plans)]
+    assert main(flags) == 3
+    assert not plans.exists()
+    assert capsys.readouterr().err == (
+        "strict mode: truncated components: [0]; re-run lenient or raise the budgets\n"
+    )
+    assert main([*flags, "--lenient"]) == 0
+    assert json.loads(plans.read_text(encoding="utf-8"))["plans"][0]["truncated"] is True
+
+
 def test_huge_cap_lists_no_length_past_the_company_count(tmp_path, capsys):
     # a cap far above the graph's two companies: one row, not a million
     csv_path = tmp_path / "pair.csv"
@@ -489,6 +537,16 @@ def test_environment_sets_no_flag(tmp_path, overlap_csv, capsys, monkeypatch):
     assert list(report["circuits_by_length"]) == [str(n) for n in range(2, 9)]
 
 
+# each range-checked flag's check in the library, which the CLI runs at parse time
+LIBRARY_CHECK = {
+    "--max-len": lambda raw: EnumerationConfig(max_len=int(raw)),
+    "--max-circuits": lambda raw: EnumerationConfig(max_circuits=int(raw)),
+    "--time-budget": lambda raw: EnumerationConfig(per_scc_time_budget=float(raw)),
+    "--exact-threshold": lambda raw: OptimizerConfig(exact_threshold=int(raw)),
+    "--parallelism": lambda raw: check_parallelism(int(raw)),
+}
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--max-len", "1"),
     ("--exact-threshold", "0"),
@@ -503,7 +561,9 @@ def test_out_of_range_flag_is_usage_error(tmp_path, overlap_csv, capsys, flag, v
     with pytest.raises(SystemExit) as exc:
         main(["run", "--input", str(overlap_csv), "--out-dir", str(tmp_path / "o"), flag, value])
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    with pytest.raises(ValueError) as refused:
+        LIBRARY_CHECK[flag](value)
+    assert f"argument {flag}: {refused.value}\n" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -54,6 +54,15 @@ def test_two_companies_two_edges_is_mutual_pair():
     assert pairs == {("C1", "C2"), ("C2", "C1")}
 
 
+def test_odd_company_count_wraps_the_last_company():
+    # five companies, three edges: two pairs, then the fifth company owes
+    # the first pair's debtor
+    invoices = generate_synthetic(5, 3, seed=4)
+    pairs = [(i.debtor, i.creditor) for i in invoices]
+    assert {c for pair in pairs for c in pair} == {"C1", "C2", "C3", "C4", "C5"}
+    assert pairs[2][1] == pairs[0][0]
+
+
 def test_amount_bounds():
     invoices = generate_synthetic(30, 100, seed=5, min_amount=1_000, max_amount=5_000)
     assert all(1_000 <= i.amount <= 5_000 for i in invoices)

@@ -91,7 +91,7 @@ def test_strict_truncation_blocks_plans(tmp_path):
     cfg = PipelineConfig(
         write_csv(tmp_path, OVERLAP_CSV), tmp_path / "out", max_circuits=1
     )
-    with pytest.raises(TruncatedInStrictMode):
+    with pytest.raises(TruncatedInStrictMode, match=r"^truncated components: \[0\];"):
         run_pipeline(cfg)
     assert not (tmp_path / "out" / "plans.json").exists()
     assert not (tmp_path / "out" / "report.json").exists()

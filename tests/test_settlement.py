@@ -255,6 +255,10 @@ class TestExactOptimizer:
         with pytest.raises(ValueError, match="exact_threshold"):
             OptimizerConfig(exact_threshold=threshold)
 
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            OptimizerConfig(mode="bogus")
+
     def test_matches_permutation_oracle(self):
         rng = random.Random(2023)
         for _ in range(60):
