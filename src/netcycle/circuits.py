@@ -17,16 +17,17 @@ Bounded-Length Simple Cycles in a Directed Graph", 2021): a reverse BFS
 from s gives each vertex's hop distance d back to s, and the path extends
 to a successor w only if w is off the path and len(path) + d <= max_len,
 i.e. a circuit through w can still fit the cap. Only distances to s prune,
-so nothing within the cap is lost. The BFS stops at max_len - 2 hops,
-short of the ball's largest layer: a vertex max_len - 1 hops back passes
-that test only while len(path) == 1, as s's first step, so only s's own
-successors get that distance, each in one hop from its successor row: a
-live successor w of s with no distance yet is max_len - 1 hops back if one
-of w's own successors is max_len - 2 hops back. Every other vertex meets
-the same test as with the full ball, and a BFS that runs out of vertices
-earlier has already found every distance. The hub-first start order
-follows degeneracy-style orderings (Eppstein, Löffler & Strash, ISAAC
-2010).
+so nothing within the cap is lost. The DFS keeps its path on an explicit
+stack, so a cap may exceed the interpreter's recursion limit. The BFS
+stops at max_len - 2 hops, short of the ball's largest layer: a vertex
+max_len - 1 hops back passes that test only while len(path) == 1, as s's
+first step, so only s's own successors get that distance, each in one hop
+from its successor row: a live successor w of s with no distance yet is
+max_len - 1 hops back if one of w's own successors is max_len - 2 hops
+back. Every other vertex meets the same test as with the full ball, and a
+BFS that runs out of vertices earlier has already found every distance.
+The hub-first start order follows degeneracy-style orderings (Eppstein,
+Löffler & Strash, ISAAC 2010).
 
 Vertices are positions in the graph's shared sorted index (id order), as
 Tarjan's partition lists them, and successors are read from its CSR rows.
@@ -126,11 +127,6 @@ class ComponentCircuits:
     result: EnumerationResult
 
 
-class _Stop(Exception):
-    """Raised inside the DFS to end a truncated search; its one argument is
-    the truncation reason."""
-
-
 def component_adjacency(g: DebtGraph, component: Iterable[int]) -> dict[int, list[int]]:
     """The predecessor rows of the induced subgraph on `component`,
     positions in g.index() listed ascending as Tarjan lists them, keyed in
@@ -175,11 +171,9 @@ def _search(
     index when None), max_len + 1 above the last, before its search
     begins, so a later start or component never reads a distance of this
     one, even after a truncation. Within a start, the DFS takes successors
-    by ascending position.
-
-    One extend closure serves every start: s, b, path and on_path are
-    cells the start loop rebinds, and limit is the largest stored distance
-    the next vertex may have, b + max_len - len(path)."""
+    by ascending position from a stack of successor iterators, one per
+    path vertex; limit is the largest stored distance the next vertex may
+    have, b + max_len - len(path)."""
     indptr, indices = index.indptr, index.indices
     max_len = cfg.max_len
     if distances is None:
@@ -194,68 +188,64 @@ def _search(
     # stable, so equal scores keep pred's ascending order.
     order = sorted(pred, key=lambda p: len(pred[p]) * (indptr[p + 1] - indptr[p]), reverse=True)
 
-    def extend(v: int, limit: int) -> None:
-        nonlocal expansions, remaining
-        expansions += 1
-        if deadline is not None and (expansions & 1023) == 0 and time.monotonic() >= deadline:
-            raise _Stop(TIME_BUDGET)
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            if w == s:
-                out.append(tuple(path))
-                if remaining > 0:
-                    remaining -= 1
-                    if remaining == 0:
-                        raise _Stop(MAX_CIRCUITS)
-                continue
-            # below b: an earlier start, a non-member, or too far from s
-            if b <= dist[w] <= limit and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                extend(w, limit - 1)
-                path.pop()
-                on_path.discard(w)
-
-    try:
-        for s in order:
-            if pred[s]:
-                b = distances.base
-                distances.base = b + step
-                # the reverse BFS to max_len - 2 hops, then, if it got that
-                # far, the one-hop last layer (see the module docstring)
-                dist[s] = b
-                frontier = [s]
-                for d in range(b + 1, b + max_len - 1):
-                    nxt = []
-                    for w in frontier:
-                        for u in pred[w]:
-                            if dist[u] < b:
-                                dist[u] = d
-                                nxt.append(u)
-                    if not nxt:
+    for s in order:
+        if pred[s]:
+            b = distances.base
+            distances.base = b + step
+            # the reverse BFS to max_len - 2 hops, then, if it got that
+            # far, the one-hop last layer (see the module docstring)
+            dist[s] = b
+            frontier = [s]
+            for d in range(b + 1, b + max_len - 1):
+                nxt = []
+                for w in frontier:
+                    for u in pred[w]:
+                        if dist[u] < b:
+                            dist[u] = d
+                            nxt.append(u)
+                if not nxt:
+                    break
+                frontier = nxt
+            else:
+                last = b + max_len - 2
+                for w in indices[indptr[s]:indptr[s + 1]]:
+                    if dist[w] < b and w in pred:
+                        for x in indices[indptr[w]:indptr[w + 1]]:
+                            if dist[x] == last:
+                                dist[w] = last + 1
+                                break
+            path, on_path, rows = [s], {s}, [iter(indices[indptr[s]:indptr[s + 1]])]
+            limit = b + max_len - 1
+            expansions += 1
+            if deadline is not None and (expansions & 1023) == 0 and time.monotonic() >= deadline:
+                return out, TIME_BUDGET, expansions
+            while rows:
+                for w in rows[-1]:
+                    if w == s:
+                        out.append(tuple(path))
+                        if remaining > 0:
+                            remaining -= 1
+                            if remaining == 0:
+                                return out, MAX_CIRCUITS, expansions
+                    # below b: an earlier start, a non-member, or too far from s
+                    elif b <= dist[w] <= limit and w not in on_path:
+                        path.append(w)
+                        on_path.add(w)
+                        rows.append(iter(indices[indptr[w]:indptr[w + 1]]))
+                        limit -= 1
+                        expansions += 1
+                        if deadline is not None and (expansions & 1023) == 0 and time.monotonic() >= deadline:
+                            return out, TIME_BUDGET, expansions
                         break
-                    frontier = nxt
                 else:
-                    last = b + max_len - 2
-                    for w in indices[indptr[s]:indptr[s + 1]]:
-                        if dist[w] < b and w in pred:
-                            for x in indices[indptr[w]:indptr[w + 1]]:
-                                if dist[x] == last:
-                                    dist[w] = last + 1
-                                    break
-                path, on_path = [s], {s}
-                extend(s, b + max_len - 1)
-            for w in indices[indptr[s]:indptr[s + 1]]:
-                row = pred.get(w)
-                if row is not None:
-                    row.remove(s)
-            del pred[s]
-    except _Stop as stop:
-        return out, stop.args[0], expansions
-    finally:
-        # extend's closure holds extend itself; unbinding it breaks that
-        # reference cycle, so the search's state is freed at once instead
-        # of being left as garbage for the cyclic collector.
-        del extend
+                    rows.pop()
+                    on_path.discard(path.pop())
+                    limit += 1
+        for w in indices[indptr[s]:indptr[s + 1]]:
+            row = pred.get(w)
+            if row is not None:
+                row.remove(s)
+        del pred[s]
     return out, None, expansions
 
 
@@ -298,11 +288,11 @@ def enumerate_graph(
     check_parallelism(parallelism)
     cfg = cfg or EnumerationConfig()
     distances = _Distances(len(g.index().verts))
-    # The search makes no reference cycles (see _search), so the
-    # cyclic collector would only rescan the heap: the predecessor rows
-    # live through a component's search, get promoted, and on a large
-    # graph set off full collections of everything the caller holds. It
-    # is paused for the enumeration and left as it was found.
+    # The search makes no reference cycles, so the cyclic collector would
+    # only rescan the heap: the predecessor rows live through a component's
+    # search, get promoted, and on a large graph set off full collections
+    # of everything the caller holds. It is paused for the enumeration and
+    # left as it was found.
     enabled = gc.isenabled()
     gc.disable()
     try:

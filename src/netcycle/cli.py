@@ -64,17 +64,19 @@ def _checked(cast, check):
 
 
 def _add_enum_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-len", type=_checked(int, lambda v: EnumerationConfig(max_len=v)), default=8,
-                   help="circuit length cap (default 8)")
+    p.add_argument("--max-len", type=_checked(int, lambda v: EnumerationConfig(max_len=v)),
+                   default=EnumerationConfig.max_len, help="circuit length cap (default %(default)s)")
     p.add_argument("--max-circuits", type=_checked(int, lambda v: EnumerationConfig(max_circuits=v)),
                    help="stop after this many circuits per component")
     p.add_argument("--time-budget", type=_checked(float, lambda v: EnumerationConfig(per_scc_time_budget=v)),
-                   help="wall-clock seconds allowed per component")
+                   help="wall-clock seconds per component's search; sorting, planning and writing are not bounded")
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=MODES, default="auto", help="settlement ordering (default auto)")
-    p.add_argument("--exact-threshold", type=_checked(int, lambda v: OptimizerConfig(exact_threshold=v)), default=10,
+    p.add_argument("--mode", choices=MODES, default=OptimizerConfig.mode,
+                   help="settlement ordering (default %(default)s)")
+    p.add_argument("--exact-threshold", type=_checked(int, lambda v: OptimizerConfig(exact_threshold=v)),
+                   default=OptimizerConfig.exact_threshold,
                    help=f"auto mode uses exact search up to this many circuits (at most {EXACT_HARD_CAP})")
 
 

@@ -54,11 +54,11 @@ ARTIFACTS = (
 class PipelineConfig:
     input: Path
     out_dir: Path
-    max_len: int = 8
+    max_len: int = EnumerationConfig.max_len
     max_circuits: int | None = None
     time_budget: float | None = None
-    mode: str = "auto"
-    exact_threshold: int = 10
+    mode: str = OptimizerConfig.mode
+    exact_threshold: int = OptimizerConfig.exact_threshold
     strict: bool = True
     parallelism: int = 1
     engine: str = "auto"  # "auto" or "python": see circuits.resolve_engine

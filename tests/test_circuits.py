@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from collections import Counter
 from enum import IntEnum
 from unittest import mock
@@ -84,6 +85,16 @@ class TestExamples:
         ])
         res = enumerate_circuits(g, positions(g, g.vertices), EnumerationConfig(max_len=4))
         assert res.circuits == [("a", "c", "d", "e")]
+
+    def test_ring_longer_than_the_recursion_limit(self):
+        # the DFS path holds every company of the ring at once
+        n = 2000
+        assert n > sys.getrecursionlimit()
+        names = [f"x{i:04d}" for i in range(n)]
+        g = graph_of([(names[i], names[(i + 1) % n], 1) for i in range(n)])
+        component = positions(g, names)
+        assert enumerate_circuits(g, component, EnumerationConfig(max_len=n)).circuits == [tuple(names)]
+        assert enumerate_circuits(g, component, EnumerationConfig(max_len=n - 1)).circuits == []
 
 
 class TestProperties:
@@ -434,7 +445,8 @@ def full_ball_search(g, max_len):
     not searched; distances to s over the live vertices up to max_len - 1
     hops; successors by ascending position; a finished start leaves the
     graph. Raw circuits in the order met, the searched starts, and the
-    number of DFS expansions (calls of extend)."""
+    number of DFS expansions (vertices pushed on the path, the start
+    included)."""
     index = g.index()
     succ = [index.indices[index.indptr[p]:index.indptr[p + 1]] for p in range(len(index.verts))]
     indegree = Counter(w for row in succ for w in row)

@@ -529,6 +529,19 @@ def test_huge_cap_lists_no_length_past_the_company_count(tmp_path, capsys):
     assert [row.split(",")[:2] for row in rows[1:]] == [["2", "1"]]
 
 
+def test_run_closes_a_ring_longer_than_the_recursion_limit(tmp_path, capsys):
+    n = 2000
+    assert n > sys.getrecursionlimit()
+    rows = "".join(f"I{i},C{i:04d},C{(i + 1) % n:04d},{100 + i},2020-01-01\n" for i in range(n))
+    csv_path = tmp_path / "ring.csv"
+    csv_path.write_text("invoice_id,debtor,creditor,amount_minor,issue_date\n" + rows, encoding="utf-8")
+    assert main(["run", "--input", str(csv_path), "--out-dir", str(tmp_path / "out"), "--max-len", str(n)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # one circuit through every company, netting the smallest amount on each edge
+    assert report["circuit_count"] == 1
+    assert report["grand_total"] == n * 100
+
+
 def test_environment_sets_no_flag(tmp_path, overlap_csv, capsys, monkeypatch):
     monkeypatch.setenv("NETCYCLE_RUN_MAX_LEN", "3")
     monkeypatch.setenv("NETCYCLE_RUN_MODE", "bogus")

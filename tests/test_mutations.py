@@ -4,8 +4,8 @@ Whatever bytes reach a reader, and whatever flag values come with them,
 every command exits 0, 2 (input or usage error) or 3 (truncated in
 strict mode), never 1 (an internal error), and a refused `run`,
 `circuits` or `plan` leaves no output. The inputs are a small run's own
-artifacts with bytes flipped, spans deleted and tokens inserted that
-have tripped readers before.
+artifacts with bytes flipped, spans deleted, tokens inserted that have
+tripped readers before, and lines duplicated, swapped and deleted.
 """
 
 from __future__ import annotations
@@ -35,11 +35,16 @@ TOKENS = [
     b"[" * 3000,  # JSON nested past the parser's recursion limit
 ]
 
+# line edits on the text split at "\n": the line at the first index, and
+# for a swap the line at the second
+LINE_EDITS = ("duplicate line", "swap lines", "delete line")
+
 mutations = st.lists(
     st.one_of(
         st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
         st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 40)),
         st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(TOKENS)),
+        st.tuples(st.sampled_from(LINE_EDITS), st.integers(0, 10**6), st.integers(0, 10**6)),
     ),
     max_size=3,  # none: the flag values alone
 )
@@ -81,6 +86,17 @@ def artifacts(tmp_path_factory) -> dict[str, bytes]:
 
 def mutate(data: bytes, steps: list[tuple]) -> bytes:
     for kind, at, arg in steps:
+        if kind in LINE_EDITS:
+            lines = data.split(b"\n")
+            at, arg = at % len(lines), arg % len(lines)
+            if kind == "duplicate line":
+                lines.insert(at, lines[at])
+            elif kind == "swap lines":
+                lines[at], lines[arg] = lines[arg], lines[at]
+            else:
+                del lines[at]
+            data = b"\n".join(lines)
+            continue
         at %= len(data) + 1
         if kind == "flip" and at < len(data):
             data = data[:at] + bytes([data[at] ^ arg]) + data[at + 1:]
