@@ -18,7 +18,10 @@ every plan from them.
 when the process runs one thread, two or more CPUs are usable and two or
 more components are to be planned; otherwise it plans them one at a
 time. Both ways run the same per-component code, so the plans are
-identical.
+identical. If this process's half raises, the helper is killed at once
+and every component is planned one at a time; if the helper's half does
+not come back whole, this process plans it. Either way the plans, or
+the first failure, are a serial run's.
 """
 
 from __future__ import annotations
@@ -177,42 +180,40 @@ def _exact_order(w: list[int], edges: list[tuple[int, ...]]) -> list[tuple[int, 
     for i, ids in enumerate(edges):
         for e in ids:
             users[e] |= 1 << i
-    # state -> (total, sorted step amounts, ((circuit index, per_edge), ...))
-    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
+    live = [i for i, ids in enumerate(edges) if all([w[e] for e in ids])]
+    return list(_best(tuple(w), live, edges, users, {})[2])
 
-    def best(state: tuple[int, ...], live: list[int]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-        found = (0, (), ())
-        weight = state.__getitem__
-        for i in live:
-            ids = edges[i]
-            x = min(map(weight, ids))
-            child = list(state)
-            dead = 0
-            for e in ids:
-                left = child[e] = child[e] - x
-                if not left:
-                    dead |= users[e]
-            child = tuple(child)
-            suffix = memo.get(child)
-            if suffix is None:
-                suffix = memo[child] = best(child, [j for j in live if not dead >> j & 1])
-            amount = x * len(ids)
-            total = suffix[0] + amount
-            if total > found[0]:
-                found = (total, _with(suffix[1], amount), ((i, x),) + suffix[2])
-            elif total == found[0]:
-                amounts = _with(suffix[1], amount)
-                if amounts > found[1]:
-                    found = (total, amounts, ((i, x),) + suffix[2])
-        return found
 
-    try:
-        return list(best(tuple(w), [i for i, ids in enumerate(edges) if all([w[e] for e in ids])])[2])
-    finally:
-        # best's closure holds best itself; unbinding it breaks that
-        # reference cycle, so the memo is freed at once instead of waiting
-        # for the cyclic collector.
-        del best
+def _best(
+    state: tuple[int, ...], live: list[int], edges: list[tuple[int, ...]], users: list[int], memo: dict
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """_exact_order's record of the best suffix from `state`, whose live
+    circuits are `live`: (total, sorted step amounts, ((circuit index,
+    per_edge), ...)). `memo` maps each state searched to its record."""
+    found = (0, (), ())
+    weight = state.__getitem__
+    for i in live:
+        ids = edges[i]
+        x = min(map(weight, ids))
+        child = list(state)
+        dead = 0
+        for e in ids:
+            left = child[e] = child[e] - x
+            if not left:
+                dead |= users[e]
+        child = tuple(child)
+        suffix = memo.get(child)
+        if suffix is None:
+            suffix = memo[child] = _best(child, [j for j in live if not dead >> j & 1], edges, users, memo)
+        amount = x * len(ids)
+        total = suffix[0] + amount
+        if total > found[0]:
+            found = (total, _with(suffix[1], amount), ((i, x),) + suffix[2])
+        elif total == found[0]:
+            amounts = _with(suffix[1], amount)
+            if amounts > found[1]:
+                found = (total, amounts, ((i, x),) + suffix[2])
+    return found
 
 
 def _with(amounts: tuple[int, ...], amount: int) -> tuple[int, ...]:
@@ -359,10 +360,11 @@ def plan_per_scc(
 
     Where a second process can run on a second CPU (see `_can_fork`), a
     forked helper plans every other component while this process plans
-    the rest. Each component is planned by the same code either way, so
-    the plans are identical. A component either half did not finish is
-    planned here again, in index order, so the first one that fails raises
-    what a serial run raises.
+    the rest, by the same per-component code, so the plans are identical.
+    If this process's half raises, the helper is stopped at once and every
+    component is planned here, one at a time; if the helper's half does
+    not come back whole, this process plans it. Either way the first
+    component that fails raises what a serial run raises.
     """
     resolve_engine(engine)
     check_parallelism(parallelism)
@@ -370,11 +372,10 @@ def plan_per_scc(
     if per_component is None:
         per_component = enumerate_graph(g, partition, enum_cfg)
     items = sorted(per_component, key=lambda item: item.scc_index)
-    plans = _plan_in_halves(g, items, opt_cfg) if _can_fork(len(items)) else [None] * len(items)
-    for at, item in enumerate(items):
-        plan = plans[at]
-        if plan is None:
-            plan = plans[at] = optimize_order(g, item.result.circuits, opt_cfg)
+    plans = _plan_in_halves(g, items, opt_cfg) if _can_fork(len(items)) else None
+    if plans is None:
+        plans = [optimize_order(g, item.result.circuits, opt_cfg) for item in items]
+    for plan, item in zip(plans, items):
         plan.scc_index = item.scc_index
         plan.truncated = item.result.truncated
         plan.truncation_reason = item.result.truncation_reason
@@ -397,60 +398,65 @@ def _can_fork(components: int) -> bool:
 
 def _plan_in_halves(
     g: DebtGraph, items: list[ComponentCircuits], cfg: OptimizerConfig
-) -> list[SettlementPlan | None]:
-    """Plans by position in `items`: the even positions from a forked
-    helper, the odd ones from this process. A position holds None when its
-    half did not finish it: this process's own planning raised there, or
-    the helper died, exited nonzero or sent no result for it. However this
-    function is left, the helper is reaped, and killed first unless it has
-    exited.
+) -> list[SettlementPlan] | None:
+    """Every plan by position in `items`, the even positions from a forked
+    helper and the odd ones from this process; None, for plan_per_scc to
+    plan every component, when no pipe or process can be had or as soon
+    as this process's own half raises. If the helper does not exit 0, this
+    process plans the even positions after its own: every odd one is
+    planned by then, so the first that raises is a serial run's first
+    failure. However this function is left, the helper is reaped, and
+    killed first unless it has exited.
     """
     import signal  # here, so a run that never forks does not import it
 
     parent = os.getpid()
-    read_fd, write_fd = os.pipe()
+    fds: tuple[int, ...] = ()
     try:
+        fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare: plan_per_scc plans every component
-        os.close(read_fd)
-        os.close(write_fd)
-        return [None] * len(items)
+    except OSError:  # no descriptor or process to spare
+        for fd in fds:
+            os.close(fd)
+        return None
     if pid == 0:
         os.close(read_fd)
         _helper(g, items[::2], cfg, write_fd, parent)
     os.close(write_fd)
-    plans: list[SettlementPlan | None] = [None] * len(items)
-    exited = False
+    plans: list = [None] * len(items)
+    status = None
     try:
         with open(read_fd, "rb") as pipe:
             try:
                 for at in range(1, len(items), 2):
                     plans[at] = optimize_order(g, items[at].result.circuits, cfg)
             except Exception:
-                pass  # plan_per_scc plans this component again, and raises as a serial run does
+                return None  # plan_per_scc plans every component, and raises as a serial run does
             sent = pipe.read()
         _, status = os.waitpid(pid, 0)
-        exited = True
     finally:
-        if not exited:
+        if status is None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # The helper exits 0 only once all of its bytes are written.
+    # The helper exits 0 only once all of its records are written.
     if os.waitstatus_to_exitcode(status) == 0:
         for at, record in zip(range(0, len(items), 2), marshal.loads(sent)):
             plans[at] = _plan(sorted(items[at].result.circuits), *record)
+    else:
+        for at in range(0, len(items), 2):
+            plans[at] = optimize_order(g, items[at].result.circuits, cfg)
     return plans
 
 
 def _helper(
     g: DebtGraph, items: list[ComponentCircuits], cfg: OptimizerConfig, fd: int, parent: int
 ) -> NoReturn:
-    """The forked helper's whole life: plan `items` in order until one
-    raises, write the `_ordered` results of those before it to `fd` as one
-    list, and exit 0 once it is written, else 1. It stops early if its
-    parent is gone. It leaves only by os._exit, whatever is raised, so it
-    never unwinds into its parent's callers, flushes the stdio buffers it
-    copied, or runs their exit handlers.
+    """The forked helper's whole life: plan every one of `items` in order,
+    write their `_ordered` results to `fd` as one list, and exit 0 once it
+    is written, else 1. It stops early if its parent is gone. It leaves
+    only by os._exit, whatever is raised, so it never unwinds into its
+    parent's callers, flushes the stdio buffers it copied, or runs their
+    exit handlers.
 
     The list is serialized by marshal, which the interpreter has loaded
     already and which both ends, one interpreter forked, read alike. With
@@ -459,19 +465,12 @@ def _helper(
     code = 1
     try:
         records = []
-        try:
-            for item in items:
-                if os.getppid() != parent:
-                    os._exit(1)  # orphaned: no one is left to read the results
-                records.append(_ordered(g, sorted(item.result.circuits), cfg))
-        except Exception:
-            pass  # the parent plans this component again
-        data = memoryview(marshal.dumps(records))
-        while data:
-            data = data[os.write(fd, data):]
+        for item in items:
+            if os.getppid() != parent:
+                os._exit(1)  # orphaned: no one is left to read the results
+            records.append(_ordered(g, sorted(item.result.circuits), cfg))
+        with open(fd, "wb") as pipe:
+            marshal.dump(records, pipe)
         code = 0
-    except BaseException:
-        pass  # the code stays 1; the parent plans every component itself
     finally:
         os._exit(code)
-

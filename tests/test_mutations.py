@@ -2,16 +2,19 @@
 
 Whatever bytes reach a reader, and whatever flag values come with them,
 every command exits 0, 2 (input or usage error) or 3 (truncated in
-strict mode), never 1 (an internal error), and a refused `run`,
-`circuits` or `plan` leaves no output. The inputs are a small run's own
-artifacts with bytes flipped, spans deleted, tokens inserted that have
-tripped readers before, and lines duplicated, swapped and deleted.
+strict mode), never 1 (an internal error), a refused `run`, `circuits`
+or `plan` leaves no output, and the `graph.json` of an `ingest` or `run`
+that exits 0 reads back. The inputs are a small run's own artifacts with
+bytes flipped, spans deleted, tokens inserted that have tripped readers
+before, lines duplicated, swapped and deleted, and in the JSON ones a
+node replaced by another JSON value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcycle.cli import main
+from netcycle.ledger import DebtGraph
 from netcycle.settlement import EXACT_HARD_CAP, MODES
 
 from test_pipeline import OVERLAP_CSV
@@ -39,15 +43,21 @@ TOKENS = [
 # for a swap the line at the second
 LINE_EDITS = ("duplicate line", "swap lines", "delete line")
 
-mutations = st.lists(
-    st.one_of(
+# what "replace node" puts in a JSON input, as JSON text
+JSON_VALUES = ["null", "true", "0", "-1", "1.5", '""', '"A"', "[]", "{}"]
+
+
+def mutations(name: str):
+    kinds = [
         st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
         st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 40)),
         st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(TOKENS)),
         st.tuples(st.sampled_from(LINE_EDITS), st.integers(0, 10**6), st.integers(0, 10**6)),
-    ),
-    max_size=3,  # none: the flag values alone
-)
+    ]
+    if name.endswith(".json"):  # the node at an index path, or where a leaf cuts it short
+        kinds.append(st.tuples(st.just("replace node"), st.lists(st.integers(0, 10**6), max_size=6),
+                               st.sampled_from(JSON_VALUES)))
+    return st.lists(st.one_of(kinds), max_size=3)  # none: the flag values alone
 
 # each reader: a command, its input flag and the artifact given there
 READERS = [
@@ -84,8 +94,26 @@ def artifacts(tmp_path_factory) -> dict[str, bytes]:
     return {"invoices.csv": (d / "invoices.csv").read_bytes(), **found}
 
 
+def replaced(node, path: list[int], value):
+    """`node` with the node at `path` replaced by `value`: each index picks
+    a child, modulo the children's count, until the path or the containers
+    run out."""
+    if not path or not node or not isinstance(node, (list, dict)):
+        return value
+    key = list(node)[path[0] % len(node)] if isinstance(node, dict) else path[0] % len(node)
+    node[key] = replaced(node[key], path[1:], value)
+    return node
+
+
 def mutate(data: bytes, steps: list[tuple]) -> bytes:
     for kind, at, arg in steps:
+        if kind == "replace node":
+            try:
+                tree = json.loads(data)
+            except (ValueError, RecursionError):  # an earlier step broke the JSON
+                continue
+            data = json.dumps(replaced(tree, at, json.loads(arg)), indent=2).encode()
+            continue
         if kind in LINE_EDITS:
             lines = data.split(b"\n")
             at, arg = at % len(lines), arg % len(lines)
@@ -119,9 +147,10 @@ def exit_code(argv: list[str]) -> tuple[int, str]:
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.sampled_from(READERS), mutations, st.data())
-def test_mutated_input_exits_0_2_or_3_and_a_refusal_writes_nothing(artifacts, reader, steps, data):
+@given(st.sampled_from(READERS), st.data())
+def test_mutated_input_exits_0_2_or_3_and_a_refusal_writes_nothing(artifacts, reader, data):
     command, option, name = reader
+    steps = data.draw(mutations(name), label="mutations")
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         src = d / "source"
@@ -150,3 +179,6 @@ def test_mutated_input_exits_0_2_or_3_and_a_refusal_writes_nothing(artifacts, re
         if code and command in ("run", "circuits", "plan"):
             left = sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if not p.is_relative_to(src))
             assert left in ([], ["outputs"]), f"{argv} exited {code} and left {left}"
+        if code == 0 and command in ("ingest", "run"):
+            written = outputs / ("graph.json" if command == "run" else "out")
+            DebtGraph.from_json(written.read_text(encoding="utf-8"))

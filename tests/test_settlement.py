@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import heapq
 import os
 import random
@@ -661,6 +662,13 @@ class TestPlanningHelper:
         with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
             assert plan_per_scc(overlap_graph, tarjan(overlap_graph)) == expected
 
+    def test_a_failed_pipe_plans_serially(self):
+        g = clusters("ring", "k4", "ring")
+        expected = reference_plan_per_scc(g, enumerate_graph(g, tarjan(g)), OptimizerConfig())
+        with mock.patch.object(os, "pipe", side_effect=OSError(errno.EMFILE, "Too many open files")), \
+                mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            assert plan_per_scc(g, tarjan(g)) == expected
+
     def test_a_second_thread_keeps_planning_serial(self):
         g = clusters("ring", "k4", "ring", "k4")
         expected = reference_plan_per_scc(g, enumerate_graph(g, tarjan(g)), OptimizerConfig())
@@ -678,8 +686,9 @@ class TestPlanningHelper:
     @pytest.mark.parametrize("death", ["exit", "interrupt", "system-exit", "error", "orphaned"])
     def test_a_helper_that_dies_gives_the_serial_plans(self, death):
         # The helper takes the even positions: a ring, the k4 and a ring.
-        # "error" fails its second component, so the first comes back and
-        # the rest are planned again here.
+        # Its half comes back whole or not at all, so after any death,
+        # "error" in its second component included, all three are planned
+        # again here.
         g = clusters("ring", "k5", "k4", "ring", "ring")
         per_component = enumerate_graph(g, tarjan(g))
         expected = reference_plan_per_scc(g, per_component, OptimizerConfig())
@@ -706,8 +715,8 @@ class TestPlanningHelper:
             plans = plan_per_scc(g, tarjan(g), per_component=per_component)
         assert plans == expected
         assert fork.call_count == 1
-        # Its own two, then the helper's three again, or two after "error".
-        assert own.call_count == (4 if death == "error" else 5)
+        # Its own two, then the helper's three again.
+        assert own.call_count == 5
 
     @pytest.mark.parametrize("shapes, count", [
         (("ring", "k5", "k4", "ring"), 84),  # the lower one in this process's half
@@ -724,6 +733,23 @@ class TestPlanningHelper:
         assert str(split.value) == str(serial.value)
         assert str(serial.value) == f"{count} circuits exceeds the exact-mode cap of 12; use greedy mode"
         assert fork.call_count == 1
+
+    def test_a_refusal_in_this_half_stops_the_helper_at_once(self):
+        # The k5's 84 circuits sit in this process's half; the helper would
+        # take 12 s over its two rings.
+        g = clusters("ring", "k5", "ring")
+        parent, real = os.getpid(), settlement._ordered
+
+        def slow(*args):
+            if os.getpid() != parent:
+                time.sleep(6)
+            return real(*args)
+
+        with mock.patch.object(settlement, "_ordered", slow), pytest.raises(ExactSearchRefused) as refused:
+            started = time.monotonic()
+            plan_per_scc(g, tarjan(g), opt_cfg=OptimizerConfig(mode="exact"))
+        assert time.monotonic() - started < 3
+        assert str(refused.value) == "84 circuits exceeds the exact-mode cap of 12; use greedy mode"
 
     def test_an_interrupt_kills_and_reaps_the_helper(self):
         g = clusters("ring", "ring", "ring")
