@@ -30,12 +30,12 @@ from .pipeline import (
     PipelineConfig,
     TruncatedInStrictMode,
     check_truncation,
-    circuits_lines,
     dump_json,
     refuse_directories,
     run_pipeline,
     scc_sizes_csv,
     write_circuits_json,
+    write_circuits_txt,
     write_plans_json,
 )
 from .scc import SccPartition, nontrivial_components, tarjan
@@ -164,7 +164,7 @@ def _load_components(path: str, graph: DebtGraph, partition: SccPartition) -> li
             for circuit in circuits:
                 add(circuit, locator, idx)
     else:
-        # the inverse of circuits_lines: ids hold no "\n" and are kept as
+        # the inverse of write_circuits_txt: ids hold no "\n" and are kept as
         # written, spaces and other line breaks included
         for n, line in enumerate(text.split("\n"), 1):
             if line:
@@ -224,7 +224,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     if truncated:
         print(f"truncated components: {truncated}", file=sys.stderr)
     with _output(args.out) as fh:
-        fh.write(circuits_lines(merge_circuits(per_component)))
+        write_circuits_txt(fh, merge_circuits(per_component))
     if args.json:
         with _output(args.json) as fh:
             write_circuits_json(fh, per_component, cfg)

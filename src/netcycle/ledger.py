@@ -12,14 +12,14 @@ sorted and numbered once per graph state.
 Every reader runs one ordered chain of checks per record, CSV rows in
 `ingest_csv` and `graph.json` vertices and edges in `DebtGraph.from_json`
 alike: the first check that fails names the record, and a record that
-passes them all goes straight into the graph. `_id_fault` states the
-company-id rule once for both, and a locator is built only for a record
-that fails.
+passes them all goes straight into the graph; a locator is built only
+for a record that fails. A graph also grows through `add_vertex` and
+`add_obligation`, which refuse what the readers refuse: `_id_fault` and
+`_amount_fault` state the id and the amount rule once for all four.
 
-A graph grows through `add_vertex` and `add_obligation`. Settlement
-lowers it through one method, `DebtGraph._set_weight`, which
-`settlement.replay` calls once per edge of a plan, after every step of
-the plan has checked out.
+Settlement lowers a graph through one method, `DebtGraph._set_weight`,
+which `settlement.replay` calls once per edge of a plan, after every
+step of the plan has checked out.
 
 `DebtGraph.write_json` streams `graph.json` one source row at a time, so
 no copy of the whole text is held in memory.
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Iterator, KeysView
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, KeysView, Mapping
 
 CompanyId = str
 
@@ -124,12 +125,21 @@ def _build_index(adj: dict[CompanyId, dict[CompanyId, int]]) -> GraphIndex:
 class DebtGraph:
     """Weighted directed simple graph of aggregated net obligations.
 
-    Invariants: no self-loops, all weights > 0 (an edge is removed the
-    moment its weight reaches zero), at most one edge per ordered pair.
-    Antiparallel pairs (u, v) and (v, u) may coexist. Every company has a
-    row in the adjacency map, empty when it owes nothing, so the company
-    set is the map's key set; a company whose edges are all settled away
-    stays a company.
+    Invariants, and the calls that keep them:
+    - every company id passes `_id_fault` (add_vertex, add_obligation,
+      ingest_csv, from_json);
+    - no self-loops (add_obligation, ingest_csv, from_json);
+    - every weight passes `_amount_fault`: an int from 1 up to below
+      EDGE_AMOUNT_BOUND (add_obligation, from_json; ingest_csv's digit
+      cap keeps its sums far below), and an edge goes the moment
+      settlement brings it to 0 (_set_weight);
+    - at most one edge per ordered pair (the map's keys).
+    A refused call changes nothing. `vertices` and `successors` are
+    read-only views, so no caller changes the map behind the index's
+    back. Antiparallel pairs (u, v) and (v, u) may coexist. Every company
+    has a row in the adjacency map, empty when it owes nothing, so the
+    company set is the map's key set; a company whose edges are all
+    settled away stays a company.
     """
 
     __slots__ = ("_adj", "_index")
@@ -154,28 +164,39 @@ class DebtGraph:
         return self._adj == other._adj
 
     def add_vertex(self, v: CompanyId) -> None:
-        if not v:
-            raise ValueError("company id must be non-empty")
+        """Add company `v` with no obligations, if it is not present. An id
+        that `_id_fault` refuses raises ValueError."""
+        if reason := _id_fault(v):
+            raise ValueError(reason)
         self._adj.setdefault(v, {})
         self._index = None
 
     def add_obligation(self, debtor: CompanyId, creditor: CompanyId, amount: int) -> None:
-        """Aggregate `amount` onto the (debtor, creditor) edge."""
-        if debtor == creditor:
-            raise ValueError("self-obligation is not representable")
-        if amount <= 0:
-            raise ValueError("obligation amount must be positive")
-        self.add_vertex(debtor)  # drops the index
-        self.add_vertex(creditor)
-        row = self._adj[debtor]
+        """Aggregate `amount` onto the (debtor, creditor) edge, adding
+        either company if new. The first failing check raises ValueError,
+        in from_json's order: each id, a self-loop, the amount, then the
+        edge's new weight."""
+        reason = (
+            _id_fault(debtor) or _id_fault(creditor)
+            or (debtor == creditor and "debtor equals creditor")
+            or _amount_fault(amount) or _amount_fault(self.weight(debtor, creditor) + amount)
+        )
+        if reason:
+            raise ValueError(reason)
+        adj = self._adj
+        row = adj.setdefault(debtor, {})
+        adj.setdefault(creditor, {})
         row[creditor] = row.get(creditor, 0) + amount
+        self._index = None
 
     def weight(self, debtor: CompanyId, creditor: CompanyId) -> int:
         """Current weight of (debtor, creditor), 0 if the edge is absent."""
         return self._adj.get(debtor, {}).get(creditor, 0)
 
-    def successors(self, debtor: CompanyId) -> dict[CompanyId, int]:
-        return self._adj.get(debtor, {})
+    def successors(self, debtor: CompanyId) -> Mapping[CompanyId, int]:
+        """The debtor's creditors and weights, a read-only view of its row;
+        empty if the debtor is absent."""
+        return MappingProxyType(self._adj.get(debtor, {}))
 
     def edges(self) -> Iterator[tuple[tuple[CompanyId, CompanyId], int]]:
         for u, row in self._adj.items():
@@ -295,11 +316,8 @@ class DebtGraph:
                 raise InvoiceError(f"edges[{i}]", _id_fault(v) or f"company id {v!r} is not in 'vertices'") from None
             if u == v:
                 raise InvoiceError(f"edges[{i}]", "debtor equals creditor")
-            # bool is an int subclass; True must not pass as an amount of 1
-            if type(amount) is not int or amount <= 0:
-                raise InvoiceError(f"edges[{i}]", f"amount must be a positive integer, got {amount!r}")
-            if amount >= EDGE_AMOUNT_BOUND:
-                raise InvoiceError(f"edges[{i}]", f"amount has more than {MAX_AMOUNT_DIGITS + 20} digits")
+            if reason := _amount_fault(amount):
+                raise InvoiceError(f"edges[{i}]", reason)
             if v in row:
                 raise InvoiceError(f"edges[{i}]", f"edge {u!r} -> {v!r} is listed twice")
             row[v] = amount
@@ -345,6 +363,16 @@ def _id_fault(company: object) -> str | None:
     # circuits.txt writes one circuit per line, ids joined by commas
     if "," in company or "\r" in company or "\n" in company:
         return f"company id {company!r} contains a comma or line break"
+    return None
+
+
+def _amount_fault(amount: object) -> str | None:
+    """Why `amount` cannot be an edge's weight, or None if it can."""
+    # bool is an int subclass; True must not pass as an amount of 1
+    if type(amount) is not int or amount <= 0:
+        return f"amount must be a positive integer, got {amount!r}"
+    if amount >= EDGE_AMOUNT_BOUND:
+        return f"amount has more than {MAX_AMOUNT_DIGITS + 20} digits"
     return None
 
 
@@ -446,7 +474,7 @@ def ingest_csv(stream: IO[str], *, strict: bool = True) -> IngestResult:
             if debtor == creditor:
                 raise InvoiceError(f"invoice {invoice_id!r}", "debtor equals creditor")
             if not amount:
-                raise InvoiceError(f"invoice {invoice_id!r}", f"amount must be a positive integer, got {amount}")
+                raise InvoiceError(f"invoice {invoice_id!r}", _amount_fault(amount))
         except InvoiceError as err:
             if strict:
                 raise

@@ -11,7 +11,8 @@ Every JSON artifact is streamed: graph.json one source row at a time
 through dump_json, one item of a top-level list at a time. The text is
 exactly json.dumps(payload, indent=2) + "\\n", but no copy of the whole
 text is held in memory. Neither writer uses json's encoder, which runs
-its pure-Python path whenever an indent is set.
+its pure-Python path whenever an indent is set. circuits.txt is streamed
+too, one line at a time (write_circuits_txt).
 """
 
 from __future__ import annotations
@@ -118,8 +119,19 @@ def scc_sizes_csv(partition: SccPartition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_circuits_txt(fh: IO[str], circuits: Iterable[tuple[str, ...]]) -> None:
+    """Write the circuits.txt artifact: one circuit per line, its ids
+    joined by commas, one line per write."""
+    write = fh.write
+    for c in circuits:
+        write(",".join(c) + "\n")
+
+
 def circuits_lines(circuits: list[tuple[str, ...]]) -> str:
-    return "".join(",".join(c) + "\n" for c in circuits)
+    """The write_circuits_txt text as one string."""
+    buf = io.StringIO()
+    write_circuits_txt(buf, circuits)
+    return buf.getvalue()
 
 
 def dump_json(payload: dict[str, object], fh: IO[str]) -> None:
@@ -372,7 +384,8 @@ def _run_into(out: Path, cfg: PipelineConfig, enum_cfg: EnumerationConfig, opt_c
     t3 = time.perf_counter()
     per_component = enumerate_graph(graph, partition, enum_cfg)
     merged = merge_circuits(per_component)
-    (out / "circuits.txt").write_text(circuits_lines(merged), encoding="utf-8")
+    with open(out / "circuits.txt", "w", encoding="utf-8") as fh:
+        write_circuits_txt(fh, merged)
     with open(out / "circuits.json", "w", encoding="utf-8") as fh:
         write_circuits_json(fh, per_component, enum_cfg)
     timings["circuits"] = time.perf_counter() - t3

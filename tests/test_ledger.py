@@ -742,6 +742,104 @@ class TestGraphJsonLoad:
         assert results[1] == results[0]
 
 
+LINE_BREAK_ID = "company id %r contains a comma or line break"
+
+# ids and amounts for the builders: arbitrary text and ints, with repeats
+# and values each rule refuses
+builder_ids = st.one_of(st.sampled_from(["A", "B", "C", "", "A,B", "X\nY", "X\rY", 5, None]), st.text(max_size=3))
+builder_amounts = st.one_of(
+    st.integers(), st.sampled_from([REFERENCE_EDGE_BOUND - 1, REFERENCE_EDGE_BOUND, 2.5, True, "5"])
+)
+builder_calls = st.one_of(
+    st.tuples(st.just("add_vertex"), builder_ids),
+    st.tuples(st.just("add_obligation"), builder_ids, builder_ids, builder_amounts),
+)
+
+
+class TestBuilders:
+    """add_vertex and add_obligation refuse what from_json refuses, in its
+    order and with its reasons, before they change anything; a row from
+    successors() cannot be written through."""
+
+    @pytest.mark.parametrize("debtor, creditor, amount, reason", [
+        ("A", "B", 2.5, "amount must be a positive integer, got 2.5"),
+        ("A", "B", True, "amount must be a positive integer, got True"),
+        ("A", "B", "5", "amount must be a positive integer, got '5'"),
+        ("A", "B", 0, "amount must be a positive integer, got 0"),
+        pytest.param("A", "B", 10**5000, "amount has more than 4020 digits", id="5001-digit amount"),
+        # the edge's new weight: A -> B holds 7 already
+        pytest.param("A", "B", REFERENCE_EDGE_BOUND - 7, "amount has more than 4020 digits", id="weight at bound"),
+        ("A,B", "C", 5, LINE_BREAK_ID % "A,B"),
+        ("A\rB", "C", 5, LINE_BREAK_ID % "A\rB"),
+        ("C", "A\nB", 5, LINE_BREAK_ID % "A\nB"),
+        ("C", "", 5, "company id must be a non-empty string, got ''"),
+        (5, "A", 5, "company id must be a non-empty string, got 5"),
+        ("C", "C", 5, "debtor equals creditor"),
+        # the first failing check names the call, in from_json's order
+        ("A,B", 5, 2.5, LINE_BREAK_ID % "A,B"),
+        ("C", "C", 2.5, "debtor equals creditor"),
+    ])
+    def test_refused_obligation_changes_nothing(self, debtor, creditor, amount, reason):
+        g = graph_of([("A", "B", 7), ("B", "A", 3)])
+        before = g.copy()
+        with pytest.raises(ValueError) as exc:
+            g.add_obligation(debtor, creditor, amount)
+        assert str(exc.value) == reason
+        assert g == before and "C" not in g
+        assert DebtGraph.from_json(g.to_json()) == g
+
+    def test_weight_below_the_bound_is_kept(self):
+        g = graph_of([("A", "B", 7)])
+        g.add_obligation("A", "B", REFERENCE_EDGE_BOUND - 8)
+        assert DebtGraph.from_json(g.to_json()).weight("A", "B") == REFERENCE_EDGE_BOUND - 1
+
+    @pytest.mark.parametrize("company, reason", [
+        (5, "company id must be a non-empty string, got 5"),
+        (None, "company id must be a non-empty string, got None"),
+        (("A",), "company id must be a non-empty string, got ('A',)"),
+        ("", "company id must be a non-empty string, got ''"),
+        ("A,B", LINE_BREAK_ID % "A,B"),
+        ("A\rB", LINE_BREAK_ID % "A\rB"),
+        ("A\nB", LINE_BREAK_ID % "A\nB"),
+    ])
+    def test_refused_vertex_changes_nothing(self, company, reason):
+        g = graph_of([("A", "B", 7)])
+        before = g.copy()
+        with pytest.raises(ValueError) as exc:
+            g.add_vertex(company)
+        assert str(exc.value) == reason
+        assert g == before
+        assert g.index().verts == ["A", "B"]
+
+    def test_successors_is_read_only(self):
+        g = graph_of([("A", "B", 7)])
+        row = g.successors("A")
+        for company, weight in (("Z", 5), ("B", -7)):
+            with pytest.raises(TypeError):
+                row[company] = weight
+        with pytest.raises(TypeError):
+            del row["B"]
+        assert g.successors("Z") == {}
+        assert g == graph_of([("A", "B", 7)])
+        assert g.index().verts == ["A", "B"]
+        g.add_obligation("A", "C", 1)
+        assert row == {"B": 7, "C": 1}  # a view of the row, not a copy
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(builder_calls, max_size=12))
+    @example([("add_obligation", "A", "B", REFERENCE_EDGE_BOUND - 1), ("add_obligation", "A", "B", 1)])
+    def test_accepted_calls_round_trip_and_refused_calls_change_nothing(self, calls):
+        g = DebtGraph()
+        for name, *args in calls:
+            before = g.copy()
+            try:
+                getattr(g, name)(*args)
+            except ValueError:
+                assert g == before
+        assert DebtGraph.from_json(g.to_json()) == g
+        assert one_row_per_company(g)
+
+
 class TestIndex:
     """The sorted index is shared by to_json, tarjan and
     component_adjacency, and never outlives the graph state it describes."""

@@ -3,11 +3,13 @@
 Whatever bytes reach a reader, and whatever flag values come with them,
 every command exits 0, 2 (input or usage error) or 3 (truncated in
 strict mode), never 1 (an internal error), a refused `run`, `circuits`
-or `plan` leaves no output, and the `graph.json` of an `ingest` or `run`
-that exits 0 reads back. The inputs are a small run's own artifacts with
-bytes flipped, spans deleted, tokens inserted that have tripped readers
-before, lines duplicated, swapped and deleted, and in the JSON ones a
-node replaced by another JSON value.
+or `plan` leaves no output, and every artifact of a command that exits 0
+reads back through the program's own reader: `graph.json` through
+`DebtGraph.from_json`, `circuits.json` and `circuits.txt` through `plan`,
+and `plans.json` through `replay`. The inputs are a small run's own
+artifacts with bytes flipped, spans deleted, tokens inserted that have
+tripped readers before, lines duplicated, swapped and deleted, and in
+the JSON ones a node replaced by another JSON value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from netcycle.cli import main
 from netcycle.ledger import DebtGraph
-from netcycle.settlement import EXACT_HARD_CAP, MODES
+from netcycle.settlement import EXACT_HARD_CAP, MODES, PlanStep, SettlementPlan, replay
 
 from test_pipeline import OVERLAP_CSV
 
@@ -179,6 +181,24 @@ def test_mutated_input_exits_0_2_or_3_and_a_refusal_writes_nothing(artifacts, re
         if code and command in ("run", "circuits", "plan"):
             left = sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if not p.is_relative_to(src))
             assert left in ([], ["outputs"]), f"{argv} exited {code} and left {left}"
-        if code == 0 and command in ("ingest", "run"):
-            written = outputs / ("graph.json" if command == "run" else "out")
-            DebtGraph.from_json(written.read_text(encoding="utf-8"))
+        if code == 0:
+            read_back(command, src, outputs)
+
+
+def read_back(command: str, src: Path, outputs: Path) -> None:
+    """Read each artifact that `command` wrote into `outputs` through the
+    program's own reader, against the graph.json it wrote or read."""
+    graph_path = {"ingest": outputs / "out", "run": outputs / "graph.json"}.get(command, src / "graph.json")
+    graph = DebtGraph.from_json(graph_path.read_text(encoding="utf-8"))
+    # the circuits files: plan reads either one; lenient, a truncated search is no refusal
+    for name in {"run": ["circuits.json", "circuits.txt"], "circuits": ["out.json", "out"]}.get(command, []):
+        argv = ["plan", "--graph", str(graph_path), "--circuits", str(outputs / name),
+                "--out", str(outputs.parent / "read-back.json"), "--lenient"]
+        code, err = exit_code(argv)
+        assert code == 0, f"{command} wrote {name}, which {argv} refused with {code}:\n{err}"
+    if plans_name := {"run": "plans.json", "plan": "out"}.get(command):
+        payload = json.loads((outputs / plans_name).read_text(encoding="utf-8"))
+        for p in payload["plans"]:
+            steps = [PlanStep(tuple(s["circuit"]), s["per_edge"], s["amount"]) for s in p["steps"]]
+            replay(graph, SettlementPlan(steps, p["total"], [], p["mode"]))
+        assert payload["grand_total"] == sum(p["total"] for p in payload["plans"])
